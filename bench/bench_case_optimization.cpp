@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
-#include "numerics/weno.hpp"
+#include "numerics/vec_weno.hpp"
 #include "perf/device.hpp"
 #include "perf/kernel_model.hpp"
 
@@ -28,6 +28,8 @@ using namespace mfc;
 
 constexpr std::size_t kCells = 4096;
 
+using V1 = simd::vd<1>;
+
 std::vector<double> make_row() {
     std::vector<double> v(kCells + 8);
     Rng rng(3);
@@ -35,14 +37,14 @@ std::vector<double> make_row() {
     return v;
 }
 
-/// Compile-time-constant order: the optimizer sees weno_edges(…, 5, …)
-/// and specializes the switch away.
+/// Compile-time-constant order: the optimizer sees weno_edges_v<1>(…, 5,
+/// …) and specializes the switch away.
 void BM_CaseOptimized(benchmark::State& state) {
     const std::vector<double> v = make_row();
-    double l = 0.0, r = 0.0;
+    V1 l = 0.0, r = 0.0;
     for (auto _ : state) {
         for (std::size_t i = 4; i < kCells + 4; ++i) {
-            weno_edges(v.data() + i, 5, 1e-16, l, r);
+            weno_edges_v<1>(v.data() + i, 5, 1e-16, l, r);
             benchmark::DoNotOptimize(l);
             benchmark::DoNotOptimize(r);
         }
@@ -57,12 +59,12 @@ BENCHMARK(BM_CaseOptimized);
 /// heap-allocated scratch stencil versus a compile-time-sized stack array.
 void BM_ScratchCompileTimeSize(benchmark::State& state) {
     const std::vector<double> v = make_row();
-    double l = 0.0, r = 0.0;
+    V1 l = 0.0, r = 0.0;
     for (auto _ : state) {
         for (std::size_t i = 4; i < kCells + 4; ++i) {
             double stencil[5]; // size known at compile time
             for (int o = -2; o <= 2; ++o) stencil[o + 2] = v[i + static_cast<std::size_t>(o + 2) - 2];
-            weno_edges(stencil + 2, 5, 1e-16, l, r);
+            weno_edges_v<1>(stencil + 2, 5, 1e-16, l, r);
             benchmark::DoNotOptimize(l);
             benchmark::DoNotOptimize(r);
         }
@@ -74,12 +76,12 @@ BENCHMARK(BM_ScratchCompileTimeSize);
 void BM_ScratchRuntimeAllocated(benchmark::State& state) {
     const std::vector<double> v = make_row();
     volatile std::size_t runtime_size = 5; // defeats stack promotion
-    double l = 0.0, r = 0.0;
+    V1 l = 0.0, r = 0.0;
     for (auto _ : state) {
         for (std::size_t i = 4; i < kCells + 4; ++i) {
             std::vector<double> stencil(runtime_size); // reallocated per cell
             for (int o = -2; o <= 2; ++o) stencil[static_cast<std::size_t>(o + 2)] = v[i + static_cast<std::size_t>(o + 2) - 2];
-            weno_edges(stencil.data() + 2, 5, 1e-16, l, r);
+            weno_edges_v<1>(stencil.data() + 2, 5, 1e-16, l, r);
             benchmark::DoNotOptimize(l);
             benchmark::DoNotOptimize(r);
         }
@@ -88,8 +90,7 @@ void BM_ScratchRuntimeAllocated(benchmark::State& state) {
 }
 BENCHMARK(BM_ScratchRuntimeAllocated);
 
-using WenoFn = void (*)(const double*, int, double, double&, double&,
-                        WenoVariant);
+using WenoFn = void (*)(const double*, int, double, V1&, V1&, WenoVariant);
 
 /// Runtime parameters behind an opaque call: no inlining, no unrolling —
 /// the unoptimized generic-build path.
@@ -97,9 +98,9 @@ void BM_RuntimeDispatch(benchmark::State& state) {
     const std::vector<double> v = make_row();
     // Volatile function pointer and order defeat specialization the same
     // way a runtime case file parameter does.
-    volatile WenoFn fn = &weno_edges;
+    volatile WenoFn fn = &weno_edges_v<1>;
     volatile int order = 5;
-    double l = 0.0, r = 0.0;
+    V1 l = 0.0, r = 0.0;
     for (auto _ : state) {
         for (std::size_t i = 4; i < kCells + 4; ++i) {
             fn(v.data() + i, order, 1e-16, l, r, WenoVariant::JS);

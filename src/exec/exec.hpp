@@ -83,7 +83,7 @@ void set_partition(Partition p);
 
 /// Transpose tile height for the solver's y/z sweeps: how many
 /// x-adjacent pencils are staged per tile. Compile-time default
-/// MFCPP_TILE_ROWS (8 = one 64-byte line of doubles), overridable at
+/// MFCPP_TILE_ROWS (16 = two 64-byte lines of doubles), overridable at
 /// runtime via MFC_TILE_ROWS or set_tile_rows(); recorded in bench
 /// metadata. Any value >= 1 is bitwise-neutral (tiling only regroups
 /// pure copies).

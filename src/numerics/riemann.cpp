@@ -1,7 +1,6 @@
 #include "numerics/riemann.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include "core/error.hpp"
 
 namespace mfc {
 
@@ -13,124 +12,6 @@ RiemannSolverKind riemann_from_int(int k) {
     if (k == 1) return RiemannSolverKind::HLL;
     if (k == 2) return RiemannSolverKind::HLLC;
     fail("riemann_solver must be 1 (HLL) or 2 (HLLC)");
-}
-
-WaveSpeeds estimate_wave_speeds(const EquationLayout& lay,
-                                const std::vector<StiffenedGas>& fluids,
-                                const double* primL, const double* primR,
-                                int dir) {
-    const double rhoL = mixture_density(lay, primL);
-    const double rhoR = mixture_density(lay, primR);
-    const double uL = primL[lay.mom(dir)];
-    const double uR = primR[lay.mom(dir)];
-    const double pL = primL[lay.energy()];
-    const double pR = primR[lay.energy()];
-    const double cL = mixture_sound_speed(lay, fluids, primL);
-    const double cR = mixture_sound_speed(lay, fluids, primR);
-
-    WaveSpeeds w;
-    w.sl = std::min(uL - cL, uR - cR);
-    w.sr = std::max(uL + cL, uR + cR);
-    const double den = rhoL * (w.sl - uL) - rhoR * (w.sr - uR);
-    // Degenerate (identical symmetric states): the contact sits between.
-    w.s_star = std::abs(den) > 1e-300
-                   ? (pR - pL + rhoL * uL * (w.sl - uL) - rhoR * uR * (w.sr - uR)) / den
-                   : 0.5 * (uL + uR);
-    return w;
-}
-
-namespace {
-
-constexpr int kMaxEqns = 16;
-
-/// HLLC star-region conservative state for side K (Toro), generalized to
-/// multiple partial densities and passively advected fractions.
-void star_state(const EquationLayout& lay, const double* prim,
-                const double* cons, double sk, double s_star, int dir,
-                double* u_star) {
-    const double rho = mixture_density(lay, prim);
-    const double u = prim[lay.mom(dir)];
-    const double p = prim[lay.energy()];
-    const double scale = (sk - u) / (sk - s_star);
-    const double chi = rho * scale;
-
-    for (int f = 0; f < lay.num_fluids(); ++f) {
-        u_star[lay.cont(f)] = cons[lay.cont(f)] * scale;
-    }
-    for (int d = 0; d < lay.dims(); ++d) {
-        u_star[lay.mom(d)] = chi * (d == dir ? s_star : prim[lay.mom(d)]);
-    }
-    const double e_total = cons[lay.energy()];
-    u_star[lay.energy()] =
-        chi * (e_total / rho +
-               (s_star - u) * (s_star + p / (rho * (sk - u))));
-    for (int f = 0; f < lay.num_adv(); ++f) {
-        u_star[lay.adv(f)] = cons[lay.adv(f)] * scale;
-    }
-    if (lay.model() == ModelKind::SixEquation) {
-        for (int f = 0; f < lay.num_fluids(); ++f) {
-            u_star[lay.internal_energy(f)] = cons[lay.internal_energy(f)] * scale;
-        }
-    }
-}
-
-} // namespace
-
-double solve_riemann(RiemannSolverKind kind, const EquationLayout& lay,
-                     const std::vector<StiffenedGas>& fluids,
-                     const double* primL, const double* primR, int dir,
-                     double* flux) {
-    const int n = lay.num_eqns();
-    MFC_DBG_ASSERT(n <= kMaxEqns);
-
-    double consL[kMaxEqns], consR[kMaxEqns];
-    double fL[kMaxEqns], fR[kMaxEqns];
-    prim_to_cons(lay, fluids, primL, consL);
-    prim_to_cons(lay, fluids, primR, consR);
-    physical_flux(lay, fluids, primL, dir, fL);
-    physical_flux(lay, fluids, primR, dir, fR);
-
-    const WaveSpeeds w = estimate_wave_speeds(lay, fluids, primL, primR, dir);
-    const double uL = primL[lay.mom(dir)];
-    const double uR = primR[lay.mom(dir)];
-
-    if (kind == RiemannSolverKind::HLL) {
-        if (w.sl >= 0.0) {
-            std::copy(fL, fL + n, flux);
-            return uL;
-        }
-        if (w.sr <= 0.0) {
-            std::copy(fR, fR + n, flux);
-            return uR;
-        }
-        const double inv = 1.0 / (w.sr - w.sl);
-        for (int q = 0; q < n; ++q) {
-            flux[q] = (w.sr * fL[q] - w.sl * fR[q] +
-                       w.sl * w.sr * (consR[q] - consL[q])) *
-                      inv;
-        }
-        // HLL face velocity: wave-speed weighted average of the states.
-        return (w.sr * uL - w.sl * uR) * inv;
-    }
-
-    // HLLC
-    if (w.sl >= 0.0) {
-        std::copy(fL, fL + n, flux);
-        return uL;
-    }
-    if (w.sr <= 0.0) {
-        std::copy(fR, fR + n, flux);
-        return uR;
-    }
-    double u_star[kMaxEqns];
-    if (w.s_star >= 0.0) {
-        star_state(lay, primL, consL, w.sl, w.s_star, dir, u_star);
-        for (int q = 0; q < n; ++q) flux[q] = fL[q] + w.sl * (u_star[q] - consL[q]);
-    } else {
-        star_state(lay, primR, consR, w.sr, w.s_star, dir, u_star);
-        for (int q = 0; q < n; ++q) flux[q] = fR[q] + w.sr * (u_star[q] - consR[q]);
-    }
-    return w.s_star;
 }
 
 } // namespace mfc

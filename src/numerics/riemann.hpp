@@ -1,40 +1,16 @@
 #pragma once
 
 #include <string>
-#include <vector>
-
-#include "physics/flux.hpp"
-#include "physics/model.hpp"
 
 namespace mfc {
 
 /// Approximate Riemann solvers for the finite-volume flux. MFC exposes
 /// riemann_solver = 1 (HLL) and 2 (HLLC); the standardized benchmark case
-/// of Section 6.1 uses HLLC.
+/// of Section 6.1 uses HLLC. The solvers themselves are solve_riemann_v
+/// (numerics/vec_riemann.hpp).
 enum class RiemannSolverKind { HLL = 1, HLLC = 2 };
 
 [[nodiscard]] std::string to_string(RiemannSolverKind k);
 [[nodiscard]] RiemannSolverKind riemann_from_int(int k);
-
-/// Solve the face Riemann problem between primitive states `primL` and
-/// `primR` along direction `dir`. Writes the upwinded flux for every
-/// equation into `flux` (size num_eqns) and returns the face-normal
-/// velocity used for the non-conservative alpha div(u) source terms.
-double solve_riemann(RiemannSolverKind kind, const EquationLayout& lay,
-                     const std::vector<StiffenedGas>& fluids,
-                     const double* primL, const double* primR, int dir,
-                     double* flux);
-
-/// Davis wave-speed estimates (also used by the CFL computation tests).
-struct WaveSpeeds {
-    double sl = 0.0;
-    double sr = 0.0;
-    double s_star = 0.0;
-};
-
-[[nodiscard]] WaveSpeeds estimate_wave_speeds(const EquationLayout& lay,
-                                              const std::vector<StiffenedGas>& fluids,
-                                              const double* primL,
-                                              const double* primR, int dir);
 
 } // namespace mfc

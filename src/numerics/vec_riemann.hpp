@@ -6,25 +6,28 @@
 #include "physics/vec_kernels.hpp"
 #include "simd/simd.hpp"
 
-/// Width-W replica of solve_riemann() (riemann.cpp), solving W faces at
-/// once. The scalar kernel's if-chain (supersonic left / supersonic right /
-/// subsonic, and the HLLC star-side pick) becomes mask + select: every lane
-/// computes all candidate fluxes — including both HLLC star states — and
-/// selects with the same predicates, in the same order, as the scalar
-/// branches. Discarded lanes may compute inf/NaN intermediates (e.g. the
-/// degenerate-contact division); those lanes are never selected, IEEE
-/// element-wise ops do not contaminate neighbors, and no floating-point
-/// exception traps are enabled. Selected lanes see the identical expression
-/// tree as the scalar path, so results are bitwise equal at any width.
-/// Keep in sync with riemann.cpp; the parity ctest (test_simd) enforces it.
+/// HLL and HLLC approximate Riemann solvers, W faces at once. The upwind
+/// cases (supersonic left / supersonic right / subsonic, and the HLLC
+/// star-side pick) are mask + select, not branches: every lane computes
+/// all candidate fluxes — including both HLLC star states — and selects
+/// with the same predicates in the same order, so the selected lane's
+/// expression tree, and thus its result, does not depend on W. Discarded
+/// lanes may compute inf/NaN intermediates (e.g. the degenerate-contact
+/// division); those lanes are never selected, IEEE element-wise ops do not
+/// contaminate neighbors, and no floating-point exception traps are
+/// enabled.
 namespace mfc {
 
+/// Davis wave-speed estimates: the left and right signal speeds and the
+/// HLLC contact speed.
 template <int W> struct WaveSpeedsV {
     vdw<W> sl, sr, s_star;
 };
 
-/// Mirrors estimate_wave_speeds(). The degenerate-denominator branch
-/// becomes a select; the discarded lane divides by ~0 harmlessly.
+/// Wave speeds between primitive states `primL` and `primR` along `dir`.
+/// Identical symmetric states make the contact denominator vanish; the
+/// contact then sits midway (a select — the discarded lane divides by ~0
+/// harmlessly).
 template <int W>
 [[nodiscard]] inline WaveSpeedsV<W>
 estimate_wave_speeds_v(const EquationLayout& lay,
@@ -55,7 +58,8 @@ namespace detail {
 
 inline constexpr int kVecRiemannMaxEqns = 16;
 
-/// Mirrors star_state().
+/// HLLC star-region conservative state for side K (Toro), generalized to
+/// multiple partial densities and passively advected fractions.
 template <int W>
 inline void star_state_v(const EquationLayout& lay, const vdw<W>* prim,
                          const vdw<W>* cons, vdw<W> sk, vdw<W> s_star, int dir,
@@ -88,7 +92,11 @@ inline void star_state_v(const EquationLayout& lay, const vdw<W>* prim,
 
 } // namespace detail
 
-/// Mirrors solve_riemann() across W faces; returns the face velocities.
+/// Solve the face Riemann problems between primitive states `primL` and
+/// `primR` along direction `dir` for W faces. Writes the upwinded flux
+/// for every equation into `flux` (num_eqns entries) and returns the
+/// face-normal velocity used for the non-conservative alpha div(u) source
+/// terms.
 template <int W>
 inline vdw<W> solve_riemann_v(RiemannSolverKind kind, const EquationLayout& lay,
                               const std::vector<StiffenedGas>& fluids,
@@ -122,6 +130,7 @@ inline vdw<W> solve_riemann_v(RiemannSolverKind kind, const EquationLayout& lay,
             flux[q] = simd::select(left_super, fL[q],
                                    simd::select(right_super, fR[q], hll));
         }
+        // HLL face velocity: wave-speed weighted average of the states.
         return simd::select(
             left_super, uL,
             simd::select(right_super, uR, (w.sr * uL - w.sl * uR) * inv));

@@ -3,18 +3,19 @@
 #include "numerics/weno.hpp"
 #include "simd/simd.hpp"
 
-/// Width-W replica of weno_edges() (weno.hpp), reconstructing the two edge
-/// values of W consecutive cells at once. `v` points at the row storage of
-/// lane 0's cell center; lane l reads the stencil v[l-r .. l+r]. Every lane
-/// evaluates the identical expression tree as the scalar kernel — same
-/// association order, same select semantics for the data-dependent WENO-Z
-/// tau branch — so results are bitwise equal to weno_edges() at any width.
-/// Keep in sync with weno.hpp; the parity ctest (test_simd) enforces this.
+/// WENO reconstruction of cell-edge values from cell averages, applied
+/// component-wise to primitive variables as in MFC, W consecutive cells at
+/// once. Supported orders: 1 (piecewise constant), 3, and 5 — MFC's
+/// weno_order = 1|3|5; `eps` is the smoothness-indicator regularization
+/// (MFC's weno_eps). Lanes map 1:1 to cells and the data-dependent WENO-Z
+/// tau branch is a select, so every lane evaluates the same expression
+/// tree and the result of a cell does not depend on W.
 namespace mfc {
 
 namespace detail {
 
-/// Mirrors weno_map(). `d` is the scalar ideal weight.
+/// Henrick-Aslam-Powers weight map g_d(w), applied per candidate then
+/// renormalized. `d` is the ideal weight.
 template <int W>
 inline simd::vd<W> weno_map_v(simd::vd<W> w, double d) {
     using V = simd::vd<W>;
@@ -23,7 +24,9 @@ inline simd::vd<W> weno_map_v(simd::vd<W> w, double d) {
     return num / den;
 }
 
-/// Mirrors combine().
+/// Combine K candidate values with variant-dependent nonlinear weights.
+/// `ideal` and `beta` are the ideal weights and smoothness indicators;
+/// `tau` is the WENO-Z global indicator (unused for JS/M).
 template <int W, int K>
 inline simd::vd<W> combine_v(const simd::vd<W> (&q)[K], const double (&ideal)[K],
                              const simd::vd<W> (&beta)[K], double eps,
@@ -46,6 +49,7 @@ inline simd::vd<W> combine_v(const simd::vd<W> (&q)[K], const double (&ideal)[K]
         sum += a[i];
     }
     if (variant == WenoVariant::M) {
+        // Normalize the JS weights, map, and renormalize.
         V mapped_sum = 0.0;
         for (int i = 0; i < K; ++i) {
             a[i] = weno_map_v<W>(a[i] / sum, ideal[i]);
@@ -60,8 +64,11 @@ inline simd::vd<W> combine_v(const simd::vd<W> (&q)[K], const double (&ideal)[K]
 
 } // namespace detail
 
-/// Mirrors weno_edges() across W cells. `v` must be readable over
-/// [-r, r + W - 1] with r = (order-1)/2.
+/// Reconstruct the two edge values of W consecutive cells from the row
+/// `v`, which points at lane 0's cell center: `left` approximates the row
+/// at the cell's left face (x_{i-1/2}+) and `right` at its right face
+/// (x_{i+1/2}-). Lane l reads the stencil v[l-r .. l+r], so `v` must be
+/// readable over [-r, r + W - 1] with r = (order-1)/2.
 template <int W>
 inline void weno_edges_v(const double* v, int order, double eps,
                          simd::vd<W>& left, simd::vd<W>& right,
@@ -113,10 +120,12 @@ inline void weno_edges_v(const double* v, int order, double eps,
             V(13.0 / 12.0) * d1 * d1 + V(0.25) * (vm1 - v1) * (vm1 - v1),
             V(13.0 / 12.0) * d2 * d2 + V(0.25) * (V(3.0) * v0 - V(4.0) * v1 + v2) *
                                            (V(3.0) * v0 - V(4.0) * v1 + v2)};
+        // WENO-Z global indicator tau5 = |beta0 - beta2|.
         const V tau = variant == WenoVariant::Z
                           ? simd::select(beta[0] > beta[2], beta[0] - beta[2],
                                          beta[2] - beta[0])
                           : V(0.0);
+        // Right edge (x_{i+1/2}-): ideal weights (0.1, 0.6, 0.3).
         {
             const V q[3] = {(V(2.0) * vm2 - V(7.0) * vm1 + V(11.0) * v0) / V(6.0),
                             (-vm1 + V(5.0) * v0 + V(2.0) * v1) / V(6.0),
@@ -124,6 +133,7 @@ inline void weno_edges_v(const double* v, int order, double eps,
             const double ideal[3] = {0.1, 0.6, 0.3};
             right = detail::combine_v<W, 3>(q, ideal, beta, eps, tau, variant);
         }
+        // Left edge (x_{i-1/2}+): mirrored stencils and indicators.
         {
             const V q[3] = {(V(2.0) * v2 - V(7.0) * v1 + V(11.0) * v0) / V(6.0),
                             (-v1 + V(5.0) * v0 + V(2.0) * vm1) / V(6.0),

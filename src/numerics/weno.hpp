@@ -11,149 +11,14 @@ namespace mfc {
 ///  - Z:  WENO-Z of Borges et al. (2008), tau-based global indicator
 enum class WenoVariant { JS, M, Z };
 
-/// WENO reconstruction of cell-edge values from cell averages, applied
-/// component-wise to primitive variables as in MFC. Supported orders:
-/// 1 (piecewise constant), 3, and 5 — MFC's weno_order = 1|3|5. The
-/// smoothness-indicator regularization eps defaults to MFC's weno_eps
-/// scale.
-struct WenoScheme {
-    int order = 5;
-    double eps = 1.0e-16;
-    WenoVariant variant = WenoVariant::JS;
-
-    /// Ghost layers needed on each side: the stencil half-width r =
-    /// (order-1)/2 applied to the first ghost cell (whose edge values feed
-    /// the boundary faces), i.e. r + 1 = (order+1)/2.
-    [[nodiscard]] static int required_ghosts(int order) {
-        MFC_REQUIRE(order == 1 || order == 3 || order == 5,
-                    "weno_order must be 1, 3, or 5");
-        return (order + 1) / 2;
-    }
-};
-
-namespace detail {
-
-/// Henrick-Aslam-Powers weight map g_d(w), applied per candidate then
-/// renormalized.
-inline double weno_map(double w, double d) {
-    const double num = w * (d + d * d - 3.0 * d * w + w * w);
-    const double den = d * d + w * (1.0 - 2.0 * d);
-    return num / den;
-}
-
-/// Combine k candidate values with variant-dependent nonlinear weights.
-/// `ideal` and `beta` are the ideal weights and smoothness indicators;
-/// `tau` is the WENO-Z global indicator (unused for JS/M).
-template <int K>
-inline double combine(const double (&q)[K], const double (&ideal)[K],
-                      const double (&beta)[K], double eps, double tau,
-                      WenoVariant variant) {
-    double a[K];
-    double sum = 0.0;
-    for (int i = 0; i < K; ++i) {
-        switch (variant) {
-        case WenoVariant::JS:
-            a[i] = ideal[i] / ((eps + beta[i]) * (eps + beta[i]));
-            break;
-        case WenoVariant::M:
-            a[i] = ideal[i] / ((eps + beta[i]) * (eps + beta[i]));
-            break;
-        case WenoVariant::Z:
-            a[i] = ideal[i] * (1.0 + tau / (beta[i] + eps));
-            break;
-        }
-        sum += a[i];
-    }
-    if (variant == WenoVariant::M) {
-        // Normalize the JS weights, map, and renormalize.
-        double mapped_sum = 0.0;
-        for (int i = 0; i < K; ++i) {
-            a[i] = weno_map(a[i] / sum, ideal[i]);
-            mapped_sum += a[i];
-        }
-        sum = mapped_sum;
-    }
-    double out = 0.0;
-    for (int i = 0; i < K; ++i) out += a[i] * q[i];
-    return out / sum;
-}
-
-} // namespace detail
-
-/// Reconstruct the two edge values of cell i from the row `v` centered on
-/// that cell: `left` approximates v at x_{i-1/2}+ (the cell's left face)
-/// and `right` approximates v at x_{i+1/2}- (its right face). `v` must be
-/// indexable over [-r, r] with r = (order-1)/2.
-inline void weno_edges(const double* v, int order, double eps, double& left,
-                       double& right, WenoVariant variant = WenoVariant::JS) {
-    switch (order) {
-    case 1:
-        left = v[0];
-        right = v[0];
-        return;
-    case 3: {
-        const double beta[2] = {(v[0] - v[-1]) * (v[0] - v[-1]),
-                                (v[1] - v[0]) * (v[1] - v[0])};
-        const double tau = variant == WenoVariant::Z
-                               ? (beta[0] > beta[1] ? beta[0] - beta[1]
-                                                    : beta[1] - beta[0])
-                               : 0.0;
-        {
-            const double q[2] = {-0.5 * v[-1] + 1.5 * v[0],
-                                 0.5 * v[0] + 0.5 * v[1]};
-            const double ideal[2] = {1.0 / 3.0, 2.0 / 3.0};
-            right = detail::combine(q, ideal, beta, eps, tau, variant);
-        }
-        {
-            const double q[2] = {-0.5 * v[1] + 1.5 * v[0],
-                                 0.5 * v[0] + 0.5 * v[-1]};
-            const double ideal[2] = {1.0 / 3.0, 2.0 / 3.0};
-            const double beta_m[2] = {beta[1], beta[0]};
-            left = detail::combine(q, ideal, beta_m, eps, tau, variant);
-        }
-        return;
-    }
-    case 5: {
-        const double d0 = v[-2] - 2.0 * v[-1] + v[0];
-        const double d1 = v[-1] - 2.0 * v[0] + v[1];
-        const double d2 = v[0] - 2.0 * v[1] + v[2];
-        const double beta[3] = {
-            (13.0 / 12.0) * d0 * d0 +
-                0.25 * (v[-2] - 4.0 * v[-1] + 3.0 * v[0]) *
-                    (v[-2] - 4.0 * v[-1] + 3.0 * v[0]),
-            (13.0 / 12.0) * d1 * d1 + 0.25 * (v[-1] - v[1]) * (v[-1] - v[1]),
-            (13.0 / 12.0) * d2 * d2 +
-                0.25 * (3.0 * v[0] - 4.0 * v[1] + v[2]) *
-                    (3.0 * v[0] - 4.0 * v[1] + v[2])};
-        // WENO-Z global indicator tau5 = |beta0 - beta2|.
-        const double tau = variant == WenoVariant::Z
-                               ? (beta[0] > beta[2] ? beta[0] - beta[2]
-                                                    : beta[2] - beta[0])
-                               : 0.0;
-        // Right edge (x_{i+1/2}-): ideal weights (0.1, 0.6, 0.3).
-        {
-            const double q[3] = {
-                (2.0 * v[-2] - 7.0 * v[-1] + 11.0 * v[0]) / 6.0,
-                (-v[-1] + 5.0 * v[0] + 2.0 * v[1]) / 6.0,
-                (2.0 * v[0] + 5.0 * v[1] - v[2]) / 6.0};
-            const double ideal[3] = {0.1, 0.6, 0.3};
-            right = detail::combine(q, ideal, beta, eps, tau, variant);
-        }
-        // Left edge (x_{i-1/2}+): mirrored stencils and indicators.
-        {
-            const double q[3] = {
-                (2.0 * v[2] - 7.0 * v[1] + 11.0 * v[0]) / 6.0,
-                (-v[1] + 5.0 * v[0] + 2.0 * v[-1]) / 6.0,
-                (2.0 * v[0] + 5.0 * v[-1] - v[-2]) / 6.0};
-            const double ideal[3] = {0.1, 0.6, 0.3};
-            const double beta_m[3] = {beta[2], beta[1], beta[0]};
-            left = detail::combine(q, ideal, beta_m, eps, tau, variant);
-        }
-        return;
-    }
-    default:
-        MFC_ASSERT(false);
-    }
+/// Ghost layers WENO of `order` (MFC's weno_order = 1|3|5) needs on each
+/// side: the stencil half-width r = (order-1)/2 applied to the first ghost
+/// cell (whose edge values feed the boundary faces), i.e. r + 1 =
+/// (order+1)/2.
+[[nodiscard]] inline int weno_ghost_layers(int order) {
+    MFC_REQUIRE(order == 1 || order == 3 || order == 5,
+                "weno_order must be 1, 3, or 5");
+    return (order + 1) / 2;
 }
 
 } // namespace mfc

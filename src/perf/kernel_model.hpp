@@ -73,17 +73,9 @@ struct KernelCost {
 inline constexpr KernelCost kHaloPackCost{16.0, 0.0};
 inline constexpr KernelCost kHaloUnpackCost{16.0, 0.0};
 
-/// Roofline entries for the pencil staging kernels. gather_row /
-/// scatter_row are the legacy per-row transverse-sweep moves the SoA
-/// block layout deleted (kept in `mfc ubench` so the win stays
-/// measured): a strided gather touches a full 64-byte line per cell but
-/// uses 8 bytes (64 in + 8 out), and the strided scatter's
-/// read-modify-write of one cell per line costs 8 in + 64 allocate + 64
-/// write back. transpose_tile is their replacement — kTileRows
-/// x-adjacent pencils staged through one cache-blocked tile, every
-/// fetched line consumed whole: 8 bytes in + 8 bytes out per cell.
-inline constexpr KernelCost kGatherRowCost{72.0, 0.0};
-inline constexpr KernelCost kScatterRowCost{136.0, 0.0};
+/// Roofline entry for the y/z-sweep pencil staging kernel: tile_rows()
+/// x-adjacent pencils staged through one cache-blocked transpose tile,
+/// every fetched line consumed whole: 8 bytes in + 8 bytes out per cell.
 inline constexpr KernelCost kTransposeTileCost{16.0, 0.0};
 
 /// The single-core device the ubench model normalizes against: one

@@ -146,11 +146,7 @@ UbenchResult bench_prim_convert(const UbenchOptions& o) {
                                 static_cast<std::size_t>(q) * cells + i);
                 }
             };
-            int i = 0;
-            for (; i + W <= cells; i += W)
-                block(std::integral_constant<int, W>{}, i);
-            for (; i < cells; ++i)
-                block(std::integral_constant<int, 1>{}, i);
+            simd::for_blocks<W>(cells, block);
         });
     });
     const KernelCost cost{2.0 * neq * 8.0, 45.0};
@@ -171,22 +167,13 @@ UbenchResult bench_weno(const std::string& name, int order,
     const double eps = 1.0e-16;
     const double min_ns = time_min_ns(o.reps, [&] {
         simd::dispatch([&](auto wc) {
-            constexpr int W = wc();
-            int i = 0;
-            for (; i + W <= cells; i += W) {
-                simd::vd<W> l, rt;
-                weno_edges_v<W>(row.data() + i + r, order, eps, l, rt,
-                                variant);
+            simd::for_blocks<wc()>(cells, [&](auto tag, int i) {
+                simd::vd<decltype(tag)::value> l, rt;
+                weno_edges_v<decltype(tag)::value>(row.data() + i + r, order,
+                                                   eps, l, rt, variant);
                 l.store(left.data() + i);
                 rt.store(right.data() + i);
-            }
-            for (; i < cells; ++i) {
-                simd::vd<1> l, rt;
-                weno_edges_v<1>(row.data() + i + r, order, eps, l, rt,
-                                variant);
-                l.store(left.data() + i);
-                rt.store(right.data() + i);
-            }
+            });
         });
     });
     const KernelCost cost{24.0, flops};
@@ -223,10 +210,7 @@ UbenchResult bench_riemann(const std::string& name, RiemannSolverKind kind,
                 }
                 uf.store(uface.data() + f);
             };
-            int f = 0;
-            for (; f + W <= cells; f += W)
-                block(std::integral_constant<int, W>{}, f);
-            for (; f < cells; ++f) block(std::integral_constant<int, 1>{}, f);
+            simd::for_blocks<W>(cells, block);
         });
     });
     const KernelCost cost{(3.0 * neq + 1.0) * 8.0, flops};
@@ -264,10 +248,7 @@ UbenchResult bench_igr_flux(const UbenchOptions& o) {
                 }
                 uf.store(uface.data() + f);
             };
-            int f = 0;
-            for (; f + W <= cells; f += W)
-                block(std::integral_constant<int, W>{}, f);
-            for (; f < cells; ++f) block(std::integral_constant<int, 1>{}, f);
+            simd::for_blocks<W>(cells, block);
         });
     });
     const KernelCost cost{(4.0 * neq + 1.0) * 8.0, 160.0};
@@ -360,71 +341,26 @@ UbenchResult bench_halo(const std::string& name, bool unpack,
                        unpack ? digest(field) : digest(buf));
 }
 
-/// Strided plane shared by the pencil staging kernels: a y/z-sweep pencil
-/// in a field whose rows are 64 doubles long, i.e. consecutive pencil
-/// cells sit a full row apart and x-adjacent pencils are unit-stride.
+/// Strided plane of the pencil staging kernel: a y/z-sweep pencil in a
+/// field whose rows are 64 doubles long, i.e. consecutive pencil cells
+/// sit a full row apart and x-adjacent pencils are unit-stride.
 constexpr int kPencilStride = 64;
 
-void fill_plane(int doubles, std::vector<double>& plane) {
-    plane.resize(static_cast<std::size_t>(doubles));
-    for (int i = 0; i < doubles; ++i) {
-        plane[static_cast<std::size_t>(i)] =
-            1.0 + 0.25 * std::sin(0.04 * static_cast<double>(i));
-    }
-}
-
-UbenchResult bench_gather_row(const UbenchOptions& o) {
-    // The per-pencil strided gather every transverse sweep performed
-    // before the SoA block layout: row[c] = field[c * stride]. Eight of
-    // every 64 fetched bytes are used.
-    const int cells = o.cells;
-    std::vector<double> plane;
-    fill_plane(cells * kPencilStride, plane);
-    std::vector<double> row(static_cast<std::size_t>(cells));
-    const double min_ns = time_min_ns(o.reps, [&] {
-        const double* p = plane.data();
-        double* r = row.data();
-        for (int c = 0; c < cells; ++c) {
-            r[c] = p[static_cast<std::size_t>(c) * kPencilStride];
-        }
-    });
-    return make_result("gather_row", o, kGatherRowCost, min_ns, digest(row));
-}
-
-UbenchResult bench_scatter_row(const UbenchOptions& o) {
-    // The matching strided scatter of the divergence writeback:
-    // field[c * stride] = row[c], a read-modify-write of one double per
-    // cache line.
-    const int cells = o.cells;
-    std::vector<double> plane;
-    fill_plane(cells * kPencilStride, plane);
-    std::vector<double> row(static_cast<std::size_t>(cells));
-    for (int i = 0; i < cells; ++i) {
-        row[static_cast<std::size_t>(i)] = 0.5 + 0.1 * std::cos(0.03 * i);
-    }
-    const double min_ns = time_min_ns(o.reps, [&] {
-        double* p = plane.data();
-        const double* r = row.data();
-        for (int c = 0; c < cells; ++c) {
-            p[static_cast<std::size_t>(c) * kPencilStride] = r[c];
-        }
-    });
-    return make_result("scatter_row", o, kScatterRowCost, min_ns,
-                       digest(plane));
-}
-
 UbenchResult bench_transpose_tile(const UbenchOptions& o) {
-    // The replacement (src/solver/rhs.cpp transpose_in): tile_rows()
-    // x-adjacent pencils staged into contiguous tile rows, walking the
-    // pencil cell outermost so each step moves one whole unit-stride run
-    // (64 bytes at the default height of 8). Uses the live tile height
-    // so MFC_TILE_ROWS retuning is measurable here. Covers the same
-    // o.cells total cells as gather_row, tile_rows() per step.
+    // The y/z-sweep pencil staging (src/solver/rhs.cpp transpose_in):
+    // tile_rows() x-adjacent pencils staged into contiguous tile rows,
+    // walking the pencil cell outermost so each step moves one whole
+    // unit-stride run (128 bytes at the default height of 16). Uses the
+    // live tile height so MFC_TILE_ROWS retuning is measurable here.
+    // Covers o.cells total cells, tile_rows() per step.
     const int tile_rows = exec::tile_rows();
     const int len = std::max(1, o.cells / tile_rows);
     const int pitch = len;
-    std::vector<double> plane;
-    fill_plane(len * kPencilStride + tile_rows, plane);
+    std::vector<double> plane(
+        static_cast<std::size_t>(len * kPencilStride + tile_rows));
+    for (std::size_t i = 0; i < plane.size(); ++i) {
+        plane[i] = 1.0 + 0.25 * std::sin(0.04 * static_cast<double>(i));
+    }
     std::vector<double> tile(static_cast<std::size_t>(tile_rows) * pitch);
     const double min_ns = time_min_ns(o.reps, [&] {
         const double* p = plane.data();
@@ -436,8 +372,7 @@ UbenchResult bench_transpose_tile(const UbenchOptions& o) {
             }
         }
     });
-    // Normalize per staged cell so the column is comparable with
-    // gather_row's ns/cell.
+    // Normalize per staged cell.
     UbenchResult r = make_result("transpose_tile", o, kTransposeTileCost,
                                  min_ns, digest(tile));
     r.ns_per_cell = min_ns / (static_cast<double>(len) * tile_rows);
@@ -474,8 +409,8 @@ const std::vector<std::string>& ubench_kernels() {
     static const std::vector<std::string> names = {
         "prim_convert", "weno5_js",    "weno5_m",     "weno5_z",
         "weno3_js",     "riemann_hllc", "riemann_hll", "igr_flux",
-        "igr_jacobi",   "rk_axpy",     "gather_row",  "scatter_row",
-        "transpose_tile", "halo_pack", "halo_unpack",
+        "igr_jacobi",   "rk_axpy",     "transpose_tile", "halo_pack",
+        "halo_unpack",
     };
     return names;
 }
@@ -497,8 +432,6 @@ UbenchResult run_ubench(const std::string& name, const UbenchOptions& o) {
     if (name == "igr_flux") return bench_igr_flux(o);
     if (name == "igr_jacobi") return bench_igr_jacobi(o);
     if (name == "rk_axpy") return bench_rk_axpy(o);
-    if (name == "gather_row") return bench_gather_row(o);
-    if (name == "scatter_row") return bench_scatter_row(o);
     if (name == "transpose_tile") return bench_transpose_tile(o);
     if (name == "halo_pack") return bench_halo(name, /*unpack=*/false, o);
     if (name == "halo_unpack") return bench_halo(name, /*unpack=*/true, o);

@@ -23,18 +23,19 @@ struct EulerEigenvectors {
 
     int n = 5;
 
-    /// w = L u
-    void to_characteristic(const double* u, double* w) const {
+    /// w = L u. `T` is double or a W = 1 simd lane (simd::vd<1>), so the
+    /// characteristic sweep feeds the kernel templates without copies.
+    template <class T> void to_characteristic(const T* u, T* w) const {
         for (int r = 0; r < n; ++r) {
-            double s = 0.0;
+            T s = 0.0;
             for (int c = 0; c < n; ++c) s += left[r][c] * u[c];
             w[r] = s;
         }
     }
     /// u = R w
-    void from_characteristic(const double* w, double* u) const {
+    template <class T> void from_characteristic(const T* w, T* u) const {
         for (int r = 0; r < n; ++r) {
-            double s = 0.0;
+            T s = 0.0;
             for (int c = 0; c < n; ++c) s += right[r][c] * w[c];
             u[r] = s;
         }

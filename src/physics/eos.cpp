@@ -10,22 +10,4 @@ double StiffenedGas::sound_speed(double rho, double p) const {
     return std::sqrt(c2);
 }
 
-double Mixture::sound_speed(double rho, double p) const {
-    const double c2 = gamma() * (p + pi_inf()) / rho;
-    MFC_DBG_ASSERT(c2 > 0.0);
-    return std::sqrt(c2);
-}
-
-Mixture mix(const std::vector<StiffenedGas>& fluids, const double* alpha,
-            int num_fluids) {
-    MFC_DBG_ASSERT(static_cast<int>(fluids.size()) >= num_fluids);
-    Mixture m;
-    for (int i = 0; i < num_fluids; ++i) {
-        const StiffenedGas& f = fluids[static_cast<std::size_t>(i)];
-        m.big_g += alpha[i] * f.big_g();
-        m.big_pi += alpha[i] * f.big_pi();
-    }
-    return m;
-}
-
 } // namespace mfc

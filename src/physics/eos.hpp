@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "core/error.hpp"
 
 namespace mfc {
@@ -14,7 +12,8 @@ namespace mfc {
 /// The mixture rules follow Allaire et al. via the linear combinations
 ///     G  = sum_i alpha_i / (gamma_i - 1)
 ///     Pi = sum_i alpha_i gamma_i pi_inf_i / (gamma_i - 1)
-/// so that rho e = G p + Pi for the mixture.
+/// so that rho e = G p + Pi for the mixture (MixtureV in
+/// physics/vec_kernels.hpp).
 struct StiffenedGas {
     double gamma = 1.4;
     double pi_inf = 0.0;
@@ -33,26 +32,5 @@ struct StiffenedGas {
     /// Speed of sound at density rho and pressure p.
     [[nodiscard]] double sound_speed(double rho, double p) const;
 };
-
-/// Mixture closure for a set of fluids with volume fractions alpha_i.
-struct Mixture {
-    double big_g = 0.0;  ///< sum alpha_i G_i
-    double big_pi = 0.0; ///< sum alpha_i Pi_i
-
-    /// Effective mixture gamma and pi_inf recovered from (G, Pi).
-    [[nodiscard]] double gamma() const { return 1.0 + 1.0 / big_g; }
-    [[nodiscard]] double pi_inf() const { return big_pi / (1.0 + big_g); }
-
-    [[nodiscard]] double pressure(double rho_e) const {
-        return (rho_e - big_pi) / big_g;
-    }
-    [[nodiscard]] double energy(double p) const { return big_g * p + big_pi; }
-    /// Frozen mixture sound speed.
-    [[nodiscard]] double sound_speed(double rho, double p) const;
-};
-
-/// Build the mixture closure from per-fluid EOS and volume fractions.
-[[nodiscard]] Mixture mix(const std::vector<StiffenedGas>& fluids,
-                          const double* alpha, int num_fluids);
 
 } // namespace mfc

@@ -1,8 +1,7 @@
 #include "physics/model.hpp"
 
-#include <cmath>
-
 #include "core/strings.hpp"
+#include "physics/vec_kernels.hpp"
 
 namespace mfc {
 
@@ -41,105 +40,57 @@ EquationLayout::EquationLayout(ModelKind model, int num_fluids, int dims)
                 (model == ModelKind::SixEquation ? nf_ : 0);
 }
 
-void volume_fractions(const EquationLayout& lay, const double* prim,
-                      double* alpha) {
-    if (lay.model() == ModelKind::Euler) {
-        alpha[0] = 1.0;
-        return;
-    }
-    for (int f = 0; f < lay.num_fluids(); ++f) alpha[f] = prim[lay.adv(f)];
-}
-
-double mixture_density(const EquationLayout& lay, const double* prim) {
-    double rho = 0.0;
-    for (int f = 0; f < lay.num_fluids(); ++f) rho += prim[lay.cont(f)];
-    return rho;
-}
-
 namespace {
 
-Mixture mixture_at(const EquationLayout& lay,
-                   const std::vector<StiffenedGas>& fluids, const double* vars) {
-    double alpha[8];
-    MFC_DBG_ASSERT(lay.num_fluids() <= 8);
-    volume_fractions(lay, vars, alpha);
-    return mix(fluids, alpha, lay.num_fluids());
+constexpr int kMaxEqns = 16;
+
+using V1 = simd::vd<1>;
+
+/// Copy a num_eqns()-entry point into W = 1 kernel lanes.
+void load_point(const EquationLayout& lay, const double* src, V1* dst) {
+    MFC_REQUIRE(lay.num_eqns() <= kMaxEqns, "too many equations");
+    for (int q = 0; q < lay.num_eqns(); ++q) dst[q] = src[q];
+}
+
+void store_point(const EquationLayout& lay, const V1* src, double* dst) {
+    for (int q = 0; q < lay.num_eqns(); ++q) dst[q] = src[q].v;
 }
 
 } // namespace
 
+double mixture_density(const EquationLayout& lay, const double* prim) {
+    V1 p[kMaxEqns];
+    load_point(lay, prim, p);
+    return mixture_density_v<1>(lay, p).v;
+}
+
 double mixture_sound_speed(const EquationLayout& lay,
                            const std::vector<StiffenedGas>& fluids,
                            const double* prim) {
-    const Mixture m = mixture_at(lay, fluids, prim);
-    const double rho = mixture_density(lay, prim);
-    return m.sound_speed(rho, prim[lay.energy()]);
+    V1 p[kMaxEqns];
+    load_point(lay, prim, p);
+    const double c = mixture_sound_speed_v<1>(lay, fluids, p).v;
+    MFC_DBG_ASSERT(c > 0.0); // c^2 > 0: a physical state
+    return c;
 }
 
 void cons_to_prim(const EquationLayout& lay,
                   const std::vector<StiffenedGas>& fluids, const double* cons,
                   double* prim) {
-    const int nf = lay.num_fluids();
-    const int d = lay.dims();
-
-    // Partial densities and advected fractions copy straight across.
-    for (int f = 0; f < nf; ++f) prim[lay.cont(f)] = cons[lay.cont(f)];
-    for (int f = 0; f < lay.num_adv(); ++f) prim[lay.adv(f)] = cons[lay.adv(f)];
-
-    double rho = 0.0;
-    for (int f = 0; f < nf; ++f) rho += cons[lay.cont(f)];
-    MFC_DBG_ASSERT(rho > 0.0);
-
-    double ke = 0.0;
-    for (int i = 0; i < d; ++i) {
-        const double u = cons[lay.mom(i)] / rho;
-        prim[lay.mom(i)] = u;
-        ke += 0.5 * rho * u * u;
-    }
-
-    const Mixture m = mixture_at(lay, fluids, cons);
-    const double rho_e = cons[lay.energy()] - ke;
-    prim[lay.energy()] = m.pressure(rho_e);
-
-    if (lay.model() == ModelKind::SixEquation) {
-        // Per-fluid pressures from per-fluid volumetric internal energies:
-        // alpha_i rho_i e_i = alpha_i (G_i p_i + Pi_i).
-        for (int f = 0; f < nf; ++f) {
-            const double a = std::max(cons[lay.adv(f)], 1e-12);
-            const StiffenedGas& g = fluids[static_cast<std::size_t>(f)];
-            prim[lay.internal_energy(f)] =
-                (cons[lay.internal_energy(f)] / a - g.big_pi()) / g.big_g();
-        }
-    }
+    V1 c[kMaxEqns], p[kMaxEqns];
+    load_point(lay, cons, c);
+    MFC_DBG_ASSERT(mixture_density_v<1>(lay, c).v > 0.0);
+    cons_to_prim_v<1>(lay, fluids, c, p);
+    store_point(lay, p, prim);
 }
 
 void prim_to_cons(const EquationLayout& lay,
                   const std::vector<StiffenedGas>& fluids, const double* prim,
                   double* cons) {
-    const int nf = lay.num_fluids();
-    const int d = lay.dims();
-
-    for (int f = 0; f < nf; ++f) cons[lay.cont(f)] = prim[lay.cont(f)];
-    for (int f = 0; f < lay.num_adv(); ++f) cons[lay.adv(f)] = prim[lay.adv(f)];
-
-    const double rho = mixture_density(lay, prim);
-    double ke = 0.0;
-    for (int i = 0; i < d; ++i) {
-        cons[lay.mom(i)] = rho * prim[lay.mom(i)];
-        ke += 0.5 * rho * prim[lay.mom(i)] * prim[lay.mom(i)];
-    }
-
-    const Mixture m = mixture_at(lay, fluids, prim);
-    cons[lay.energy()] = m.energy(prim[lay.energy()]) + ke;
-
-    if (lay.model() == ModelKind::SixEquation) {
-        for (int f = 0; f < nf; ++f) {
-            const StiffenedGas& g = fluids[static_cast<std::size_t>(f)];
-            const double a = prim[lay.adv(f)];
-            cons[lay.internal_energy(f)] =
-                a * (g.big_g() * prim[lay.internal_energy(f)] + g.big_pi());
-        }
-    }
+    V1 p[kMaxEqns], c[kMaxEqns];
+    load_point(lay, prim, p);
+    prim_to_cons_v<1>(lay, fluids, p, c);
+    store_point(lay, c, cons);
 }
 
 } // namespace mfc

@@ -66,11 +66,12 @@ private:
     int num_eqns_ = 8;
 };
 
-/// Per-cell primitive/conservative scratch vectors sized by the layout.
-using VarVec = std::vector<double>;
+// Single-point entry points for setup, CFL, and post-processing: W = 1
+// adapters over the width-templated kernels of physics/vec_kernels.hpp,
+// which the solver sweeps run directly. Points hold num_eqns() entries in
+// the layout above.
 
 /// Conservative -> primitive conversion at a single point.
-/// `cons` and `prim` are num_eqns()-sized arrays in the layout above.
 void cons_to_prim(const EquationLayout& lay,
                   const std::vector<StiffenedGas>& fluids, const double* cons,
                   double* prim);
@@ -82,11 +83,6 @@ void prim_to_cons(const EquationLayout& lay,
 
 /// Mixture density from primitives (sum of partial densities).
 [[nodiscard]] double mixture_density(const EquationLayout& lay, const double* prim);
-
-/// Volume fractions from primitives. For Euler the single "fraction" is 1;
-/// for two-fluid models the advected fractions are read directly.
-void volume_fractions(const EquationLayout& lay, const double* prim,
-                      double* alpha);
 
 /// Frozen mixture sound speed from primitives.
 [[nodiscard]] double mixture_sound_speed(const EquationLayout& lay,

@@ -5,13 +5,12 @@
 #include "physics/model.hpp"
 #include "simd/simd.hpp"
 
-/// Width-W replicas of the per-cell physics kernels in model.cpp / eos.cpp /
-/// flux.cpp, operating on W cells at once. Lanes map 1:1 to consecutive row
-/// cells and every lane evaluates the *identical* expression tree as the
-/// scalar kernel (same association order, same min/max semantics), so the
-/// results are bitwise equal to the scalar path at any width. Any edit here
-/// must be mirrored in the scalar kernel and vice versa — the parity ctest
-/// (test_simd) enforces this.
+/// The per-cell physics kernels — mixture closure, prim <-> cons
+/// conversion, sound speed, physical flux — operating on W cells at once.
+/// Lanes map 1:1 to consecutive row cells and every lane evaluates the same
+/// expression tree (simd::vmin/vmax keep std::min/max semantics), so a
+/// cell's result does not depend on W. The scalar entry points in
+/// model.hpp are W = 1 adapters over these templates.
 ///
 /// States are passed as arrays of vd<W> indexed by equation (an SoA cell
 /// block): state[q].lane(l) is equation q of cell l.
@@ -19,26 +18,29 @@ namespace mfc {
 
 template <int W> using vdw = simd::vd<W>;
 
-/// Mixture closure over W cells; mirrors struct Mixture.
+/// Mixture closure over W cells, from per-fluid EOS and volume fractions
+/// alpha_i (see StiffenedGas for the mixture rules).
 template <int W> struct MixtureV {
-    vdw<W> big_g = 0.0;
-    vdw<W> big_pi = 0.0;
+    vdw<W> big_g = 0.0;  ///< sum alpha_i G_i
+    vdw<W> big_pi = 0.0; ///< sum alpha_i Pi_i
 
+    /// Effective mixture gamma and pi_inf recovered from (G, Pi).
     [[nodiscard]] vdw<W> gamma() const { return vdw<W>(1.0) + vdw<W>(1.0) / big_g; }
     [[nodiscard]] vdw<W> pi_inf() const { return big_pi / (vdw<W>(1.0) + big_g); }
     [[nodiscard]] vdw<W> pressure(vdw<W> rho_e) const {
         return (rho_e - big_pi) / big_g;
     }
     [[nodiscard]] vdw<W> energy(vdw<W> p) const { return big_g * p + big_pi; }
+    /// Frozen mixture sound speed.
     [[nodiscard]] vdw<W> sound_speed(vdw<W> rho, vdw<W> p) const {
         const vdw<W> c2 = gamma() * (p + pi_inf()) / rho;
         return simd::vsqrt(c2);
     }
 };
 
-/// Mirrors mixture_at(): volume fractions straight from the state
-/// (alpha = 1 for Euler), then the alpha-weighted mix() accumulation in
-/// fluid order.
+/// Mixture closure of a state (primitive or conservative: both carry the
+/// volume fractions at adv(i); alpha = 1 for Euler), accumulated
+/// alpha-weighted in fluid order.
 template <int W>
 [[nodiscard]] inline MixtureV<W> mixture_at_v(const EquationLayout& lay,
                                               const std::vector<StiffenedGas>& fluids,
@@ -58,7 +60,7 @@ template <int W>
     return m;
 }
 
-/// Mirrors mixture_density().
+/// Mixture density from primitives (sum of partial densities).
 template <int W>
 [[nodiscard]] inline vdw<W> mixture_density_v(const EquationLayout& lay,
                                               const vdw<W>* prim) {
@@ -67,7 +69,7 @@ template <int W>
     return rho;
 }
 
-/// Mirrors mixture_sound_speed().
+/// Frozen mixture sound speed from primitives.
 template <int W>
 [[nodiscard]] inline vdw<W>
 mixture_sound_speed_v(const EquationLayout& lay,
@@ -78,7 +80,8 @@ mixture_sound_speed_v(const EquationLayout& lay,
     return m.sound_speed(rho, prim[lay.energy()]);
 }
 
-/// Mirrors cons_to_prim().
+/// Conservative -> primitive conversion. `cons` and `prim` hold
+/// num_eqns() entries in the EquationLayout order.
 template <int W>
 inline void cons_to_prim_v(const EquationLayout& lay,
                            const std::vector<StiffenedGas>& fluids,
@@ -104,6 +107,8 @@ inline void cons_to_prim_v(const EquationLayout& lay,
     prim[lay.energy()] = m.pressure(rho_e);
 
     if (lay.model() == ModelKind::SixEquation) {
+        // Per-fluid pressures from per-fluid volumetric internal energies:
+        // alpha_i rho_i e_i = alpha_i (G_i p_i + Pi_i).
         for (int f = 0; f < nf; ++f) {
             const vdw<W> a = simd::vmax(cons[lay.adv(f)], vdw<W>(1e-12));
             const StiffenedGas& g = fluids[static_cast<std::size_t>(f)];
@@ -114,7 +119,7 @@ inline void cons_to_prim_v(const EquationLayout& lay,
     }
 }
 
-/// Mirrors prim_to_cons().
+/// Primitive -> conservative conversion.
 template <int W>
 inline void prim_to_cons_v(const EquationLayout& lay,
                            const std::vector<StiffenedGas>& fluids,
@@ -146,7 +151,12 @@ inline void prim_to_cons_v(const EquationLayout& lay,
     }
 }
 
-/// Mirrors physical_flux().
+/// Physical flux of the coupled system along direction `dir` (0..2) from a
+/// primitive state. The advection equations and six-equation internal
+/// energies are written in quasi-conservative form with flux alpha_i u
+/// (resp. alpha_i rho_i e_i u); their non-conservative source terms
+/// (alpha div u, alpha p div u) are added by the RHS assembly from
+/// Riemann-solver face velocities.
 template <int W>
 inline void physical_flux_v(const EquationLayout& lay,
                             const std::vector<StiffenedGas>& fluids,

@@ -370,4 +370,14 @@ template <class Fn> decltype(auto) dispatch(Fn&& fn) {
     }
 }
 
+/// Run block(integral_constant<int, BW>, i) over the cells [0, n) of a
+/// row: whole W-wide blocks first, then the remainder one cell at a time
+/// through the same template at BW = 1 — identical per-cell math, so the
+/// result does not depend on W.
+template <int W, class Block> inline void for_blocks(int n, Block&& block) {
+    int i = 0;
+    for (; i + W <= n; i += W) block(std::integral_constant<int, W>{}, i);
+    for (; i < n; ++i) block(std::integral_constant<int, 1>{}, i);
+}
+
 } // namespace mfc::simd

@@ -12,7 +12,6 @@
 #include "numerics/vec_weno.hpp"
 #include "numerics/weno.hpp"
 #include "physics/characteristics.hpp"
-#include "physics/flux.hpp"
 #include "physics/vec_kernels.hpp"
 #include "prof/prof.hpp"
 #include "simd/simd.hpp"
@@ -83,47 +82,84 @@ void cell_of(int dim, int c, int t1, int t2, int& i, int& j, int& k) {
 
 // Transverse (y/z) sweeps stage up to exec::tile_rows() x-adjacent
 // pencils through one cache-blocked transpose tile per tile of rows
-// (compile default MFCPP_TILE_ROWS = 8, runtime-overridable via
+// (compile default MFCPP_TILE_ROWS = 16, runtime-overridable via
 // MFC_TILE_ROWS; the bench records the value in its metadata). The fast
 // transverse index t1 is x for dims 1 and 2 (see cell_of), so the `b`
 // direction below walks unit-stride memory: each transpose step moves a
-// contiguous run of tile-height doubles — at the default 8, a full
-// 64-byte line — where the per-row strided gather this replaces used 8
-// of every 64 bytes fetched. Any height >= 1 is bitwise-neutral: the
-// tile only regroups pure copies.
+// contiguous run of tile-height doubles — at the default 16, two full
+// 64-byte lines — where a per-pencil strided gather would use 8 of every
+// 64 bytes fetched. Any height >= 1 is bitwise-neutral: the tile only
+// regroups pure copies.
 
 /// Tile row pitch: round `len` up so every tile row starts 64-byte-
 /// aligned within the (aligned) arena block.
 int tile_pitch(int len) { return (len + 7) / 8 * 8; }
 
-/// Transpose `tb` x-adjacent pencils of a transverse sweep into
-/// contiguous tile rows: tile[b * pitch + c] holds row-local cell c of
-/// the pencil at (t1 + b, t2), c in [0, len) starting at sweep cell c0.
-void transpose_in(const Field& src, int dim, int c0, int t1, int t2, int len,
-                  int tb, double* tile, int pitch) {
+/// One transpose tile of a transverse sweep: for every equation q, `tmax`
+/// rows of `pitch` doubles; row b holds sweep cells [c0, c0 + len) of the
+/// pencil at (t1 + b, t2).
+struct PencilTile {
+    int c0 = 0;
+    int len = 0;
+    int tmax = 1;
+    int pitch = 0;
+    double* data = nullptr;
+
+    [[nodiscard]] double* row(int q, int b) const {
+        return data + static_cast<std::size_t>(q * tmax + b) * pitch;
+    }
+};
+
+/// Transpose `tb` x-adjacent pencils of every equation of `src` into the
+/// tile's rows, walking the pencil cell outermost so each step moves one
+/// unit-stride run.
+void transpose_in(const StateArray& src, int dim, int t1, int t2, int tb,
+                  const PencilTile& tile) {
     int i = 0, j = 0, k = 0;
-    cell_of(dim, c0, t1, t2, i, j, k);
-    const double* p = src.ptr(i, j, k);
-    const std::ptrdiff_t s = src.stride(dim);
-    for (int c = 0; c < len; ++c) {
-        const double* pc = p + c * s;
-        for (int b = 0; b < tb; ++b) tile[b * pitch + c] = pc[b];
+    cell_of(dim, tile.c0, t1, t2, i, j, k);
+    for (int q = 0; q < src.num_eqns(); ++q) {
+        const double* p = src.eq(q).ptr(i, j, k);
+        const std::ptrdiff_t s = src.eq(q).stride(dim);
+        double* rows = tile.row(q, 0);
+        for (int c = 0; c < tile.len; ++c) {
+            const double* pc = p + c * s;
+            for (int b = 0; b < tb; ++b) rows[b * tile.pitch + c] = pc[b];
+        }
     }
 }
 
-/// Inverse of transpose_in: scatter `tb` contiguous tile rows back into
-/// the field, again moving whole unit-stride runs per row cell.
-void transpose_out(Field& dst, int dim, int c0, int t1, int t2, int len,
-                   int tb, const double* tile, int pitch) {
+/// Inverse of transpose_in: scatter the tile's rows back into the field,
+/// again moving whole unit-stride runs per pencil cell.
+void transpose_out(StateArray& dst, int dim, int t1, int t2, int tb,
+                   const PencilTile& tile) {
     int i = 0, j = 0, k = 0;
-    cell_of(dim, c0, t1, t2, i, j, k);
-    double* p = dst.ptr(i, j, k);
-    const std::ptrdiff_t s = dst.stride(dim);
-    for (int c = 0; c < len; ++c) {
-        double* pc = p + c * s;
-        for (int b = 0; b < tb; ++b) pc[b] = tile[b * pitch + c];
+    cell_of(dim, tile.c0, t1, t2, i, j, k);
+    for (int q = 0; q < dst.num_eqns(); ++q) {
+        double* p = dst.eq(q).ptr(i, j, k);
+        const std::ptrdiff_t s = dst.eq(q).stride(dim);
+        const double* rows = tile.row(q, 0);
+        for (int c = 0; c < tile.len; ++c) {
+            double* pc = p + c * s;
+            for (int b = 0; b < tb; ++b) pc[b] = rows[b * tile.pitch + c];
+        }
     }
 }
+
+/// Phase timestamps of one pencil row. A path's face-flux kernel closes
+/// each of its phases with lap(i); the driver closes the last one
+/// (flux_div). Only sampled rows read the clock.
+struct PhaseClock {
+    bool sample = false;
+    std::int64_t last = 0;
+    std::int64_t ns[3] = {0, 0, 0};
+
+    void lap(int phase) {
+        if (!sample) return;
+        const std::int64_t now = prof::clock_ns();
+        ns[phase] += now - last;
+        last = now;
+    }
+};
 
 /// Flux divergence + non-conservative sources for cells [c, c+W) of one
 /// pencil. `flux` is SoA over faces (flux[q * fstride + f], fstride =
@@ -169,29 +205,23 @@ void divergence_block(const EquationLayout& lay, bool accumulate, int c,
     }
 }
 
-/// Divergence over all n cells of a pencil: whole vectors, then a scalar
-/// (W = 1) tail over the same template — identical per-cell math.
+/// Divergence over all n cells of a pencil.
 template <int W>
 void divergence_cells(const EquationLayout& lay, bool accumulate, int n,
                       int neq, double inv_dx, const double* const* rowc,
                       const double* flux, int fstride, const double* uface,
                       double* const* dqp) {
-    int c = 0;
-    for (; c + W <= n; c += W) {
-        divergence_block<W>(lay, accumulate, c, neq, inv_dx, rowc, flux,
-                            fstride, uface, dqp);
-    }
-    for (; c < n; ++c) {
-        divergence_block<1>(lay, accumulate, c, neq, inv_dx, rowc, flux,
-                            fstride, uface, dqp);
-    }
+    simd::for_blocks<W>(n, [&](auto wtag, int c) {
+        divergence_block<decltype(wtag)::value>(lay, accumulate, c, neq, inv_dx,
+                                                rowc, flux, fstride, uface, dqp);
+    });
 }
 
 } // namespace
 
 int RhsEvaluator::ghost_layers_for(const CaseConfig& config) {
     const int order = config.igr.enabled ? config.igr.order : config.weno_order;
-    const int hyperbolic = WenoScheme::required_ghosts(order);
+    const int hyperbolic = weno_ghost_layers(order);
     // Viscous face fluxes need cell-centered velocity gradients on both
     // sides of every interior face: two ghost layers.
     return std::max(hyperbolic, config.viscous ? 2 : 0);
@@ -256,10 +286,6 @@ void RhsEvaluator::convert_primitives(const StateArray& cons, const int lo[3],
         constexpr int W = wc();
         exec::parallel_for("prim_convert", 0, rows,
                            [&](long long row_lo, long long row_hi) {
-            simd::vd<W> cv[kMaxEqns];
-            simd::vd<W> pv[kMaxEqns];
-            simd::vd<1> c1[kMaxEqns];
-            simd::vd<1> p1[kMaxEqns];
             const double* src[kMaxEqns];
             double* dst[kMaxEqns];
             for (long long t = row_lo; t < row_hi; ++t) {
@@ -269,21 +295,13 @@ void RhsEvaluator::convert_primitives(const StateArray& cons, const int lo[3],
                     src[q] = cons.eq(q).ptr(x0, j, k);
                     dst[q] = prim_.eq(q).ptr(x0, j, k);
                 }
-                int i = 0;
-                for (; i + W <= len_x; i += W) {
-                    for (int q = 0; q < neq; ++q) {
-                        cv[q] = simd::vd<W>::load(src[q] + i);
-                    }
-                    cons_to_prim_v<W>(lay_, fluids_, cv, pv);
+                simd::for_blocks<W>(len_x, [&](auto wtag, int i) {
+                    using BV = simd::vd<decltype(wtag)::value>;
+                    BV cv[kMaxEqns], pv[kMaxEqns];
+                    for (int q = 0; q < neq; ++q) cv[q] = BV::load(src[q] + i);
+                    cons_to_prim_v<BV::width>(lay_, fluids_, cv, pv);
                     for (int q = 0; q < neq; ++q) pv[q].store(dst[q] + i);
-                }
-                for (; i < len_x; ++i) {
-                    for (int q = 0; q < neq; ++q) {
-                        c1[q] = simd::vd<1>::load(src[q] + i);
-                    }
-                    cons_to_prim_v<1>(lay_, fluids_, c1, p1);
-                    for (int q = 0; q < neq; ++q) p1[q].store(dst[q] + i);
-                }
+                });
             }
         });
     });
@@ -536,38 +554,37 @@ void RhsEvaluator::add_body_forces(StateArray& dq) {
     }
 }
 
-template <int W>
-void RhsEvaluator::sweep_weno_w(int dim, const SweepSpan& span, StateArray& dq,
-                                bool accumulate) {
-    using V = simd::vd<W>;
+/// What a numerics path hands the shared pencil driver besides its
+/// face-flux row kernel.
+struct RhsEvaluator::PencilPath {
+    const char* zone;           ///< parallel_for zone (a string literal)
+    int reach;                  ///< pencil cells read beyond [c_lo, c_hi)
+    std::size_t scratch;        ///< per-chunk doubles for the row kernel
+    int phases;                 ///< timed phases, flux_div last; 0: untimed
+    const char* phase_names[3]; ///< prof child zones (string literals)
+};
+
+template <int W, class RowFlux>
+void RhsEvaluator::sweep_pencils(int dim, const SweepSpan& span,
+                                 StateArray& dq, bool accumulate,
+                                 const PencilPath& path, RowFlux&& row_flux) {
     const int n = span.c_hi - span.c_lo;
     const int neq = lay_.num_eqns();
-    const int r = (weno_order_ - 1) / 2;
     const double inv_dx = 1.0 / dx(dim);
+    const int nfaces = n + 1;
 
     const int span1 = span.t1_hi - span.t1_lo; // fast transverse
     const int span2 = span.t2_hi - span.t2_lo;
 
-    // Pencil geometry: edge reconstruction covers cells
-    // [c_lo - 1, c_hi], so each pencil spans cells
-    // [c_lo - 1 - r, c_hi + r] — exactly the ghost depth the hyperbolic
-    // stencil requested when the span touches the block face. row_at(c)
-    // indexes a row-local cell by its *global* (block-local) coordinate.
-    // x-sweeps read the pencil in place: field rows are SoA-contiguous
-    // along x, so rowp[q] points straight at the backing store and the
-    // divergence writes dq the same way — zero gather/scatter. y/z
-    // sweeps stage tile_rows() pencils at a time through a transpose tile.
-    const int row_len = n + 2 * r + 2;
-    const int row0 = span.c_lo - 1 - r;
-    const auto row_at = [row0](int c) { return c - row0; };
-    // Edge values live in SoA rows over the cell slots [0, n+2) (slot
-    // s holds cell c_lo + s - 1) and fluxes in SoA rows over the faces
-    // [c_lo, c_hi] (slot f holds face c_lo + f), so reconstruction, the
-    // Riemann solve, and the divergence all stream W contiguous slots per
-    // step. Scalar tails reuse the same templates at W = 1 — bitwise
-    // identical at any width.
-    const int ncells = n + 2;
-    const int nfaces = n + 1;
+    // Pencil geometry: each pencil spans cells [c_lo - reach, c_hi +
+    // reach) — exactly the ghost depth the path's stencil requested when
+    // the span touches the block face. x-sweeps read the pencil in place:
+    // field rows are SoA-contiguous along x, so the pencil pointers point
+    // straight at the backing store and the divergence writes dq the same
+    // way — zero gather/scatter. y/z sweeps stage tile_rows() pencils at
+    // a time through a transpose tile.
+    const bool direct = dim == 0;
+    const int tmax = direct ? 1 : exec::tile_rows();
 
     // Per-row scoped zones would breach the profiler's overhead budget
     // (clock reads plus tree bookkeeping per microsecond-scale row), so
@@ -578,42 +595,35 @@ void RhsEvaluator::sweep_weno_w(int dim, const SweepSpan& span, StateArray& dq,
     // homogeneous, so only every kSampleStride-th row is timed and the
     // credit is scaled up — four clock reads per row on vectorized rows
     // is itself measurable against the <2% budget.
-    const bool timed = MFC_PROF_COMPILED != 0 && prof::enabled();
-
-    const bool direct = dim == 0; // unit-stride: read/write fields in place
-    const int tmax = direct ? 1 : exec::tile_rows();
-    const int prim_pitch = tile_pitch(row_len);
-    const int dq_pitch = tile_pitch(n);
+    const bool timed =
+        path.phases > 0 && MFC_PROF_COMPILED != 0 && prof::enabled();
 
     const long long rows_total = static_cast<long long>(span1) * span2;
-    exec::parallel_for(kWenoZone[dim], 0, rows_total, [&](long long lo,
-                                                          long long hi) {
+    exec::parallel_for(path.zone, 0, rows_total, [&](long long lo,
+                                                     long long hi) {
         exec::Arena::Frame frame(exec::scratch_arena());
-        // Transpose tiles (transverse sweeps only): equation q's pencil b
-        // lives at tile + (q * tmax + b) * pitch.
-        double* prim_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   prim_pitch);
-        double* dq_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   dq_pitch);
-        // Edge values at cells [c_lo - 1, c_hi] and fluxes/velocities at
-        // the faces [c_lo, c_hi]; face f separates cells f-1 and f.
-        double* edge_left =
-            frame.doubles(static_cast<std::size_t>(ncells) * neq);
-        double* edge_right =
-            frame.doubles(static_cast<std::size_t>(ncells) * neq);
+        // Transpose tiles (transverse sweeps only): the primitives over
+        // the whole pencil, dq over the span's cells.
+        PencilTile tiles[2] = {
+            {span.c_lo - path.reach, n + 2 * path.reach, tmax,
+             tile_pitch(n + 2 * path.reach)},
+            {span.c_lo, n, tmax, tile_pitch(n)}};
+        if (!direct) {
+            for (PencilTile& tile : tiles) {
+                tile.data = frame.doubles(static_cast<std::size_t>(neq) *
+                                          tmax * tile.pitch);
+            }
+        }
+        double* scratch = frame.doubles(path.scratch);
+        // Fluxes and face velocities at the faces [c_lo, c_hi], SoA over
+        // faces: slot f holds face c_lo + f, which separates cells
+        // c_lo + f - 1 and c_lo + f.
         double* flux_row =
             frame.doubles(static_cast<std::size_t>(nfaces) * neq);
         double* uface_row = frame.doubles(static_cast<std::size_t>(nfaces));
 
-        std::int64_t recon_ns = 0;
-        std::int64_t riemann_ns = 0;
-        std::int64_t div_ns = 0;
-        std::int64_t chunk_t0 = 0;
-        if (timed) chunk_t0 = prof::clock_ns();
+        PhaseClock clock;
+        const std::int64_t chunk_t0 = timed ? prof::clock_ns() : 0;
 
         for (long long t = lo; t < hi;) {
             const int t1 = span.t1_lo + static_cast<int>(t % span1);
@@ -628,416 +638,246 @@ void RhsEvaluator::sweep_weno_w(int dim, const SweepSpan& span, StateArray& dq,
                              hi - t));
 
             if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_in(prim_.eq(q), dim, row0, t1, t2, row_len, tb,
-                                 prim_tile + static_cast<std::size_t>(q) *
-                                                 tmax * prim_pitch,
-                                 prim_pitch);
-                }
-                if (accumulate) {
-                    for (int q = 0; q < neq; ++q) {
-                        transpose_in(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                     dq_tile + static_cast<std::size_t>(q) *
-                                                   tmax * dq_pitch,
-                                     dq_pitch);
-                    }
+                // The primitives always; dq only when this sweep adds
+                // onto an earlier one (the first active sweep assigns it).
+                StateArray* staged[2] = {&prim_, &dq};
+                for (int s = 0; s < (accumulate ? 2 : 1); ++s) {
+                    transpose_in(*staged[s], dim, t1, t2, tb, tiles[s]);
                 }
             }
 
             for (int b = 0; b < tb; ++b) {
-            const bool sample = timed && (t + b) % kSampleStride == 0;
-            std::int64_t t_start = 0;
-            std::int64_t t_mid = 0;
-            if (sample) t_start = prof::clock_ns();
+                clock.sample = timed && (t + b) % kSampleStride == 0;
+                if (clock.sample) clock.last = prof::clock_ns();
 
-            // Per-equation pencil pointers: straight into the field for
-            // x-sweeps, into the transpose tile for y/z.
-            const double* rowp[kMaxEqns];
-            double* dqp[kMaxEqns];
-            if (direct) {
-                int i0 = 0, j0 = 0, k0 = 0;
-                cell_of(dim, span.c_lo, t1, t2, i0, j0, k0);
-                for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_.eq(q).ptr(row0, t1, t2);
-                    dqp[q] = dq.eq(q).ptr(i0, j0, k0);
-                }
-            } else {
-                for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_tile +
-                              static_cast<std::size_t>(q * tmax + b) *
-                                  prim_pitch;
-                    dqp[q] = dq_tile + static_cast<std::size_t>(q * tmax + b) *
-                                           dq_pitch;
-                }
-            }
-
-            // Edge reconstruction for cells [c_lo - 1, c_hi] (slots
-            // [0, ncells)), W cells per step straight off the contiguous
-            // pencil: slot s is cell c_lo + s - 1, whose stencil center
-            // sits at row index s + r.
-            for (int q = 0; q < neq; ++q) {
-                const double* rq = rowp[q];
-                double* el = edge_left + static_cast<std::size_t>(q) * ncells;
-                double* er = edge_right + static_cast<std::size_t>(q) * ncells;
-                int s = 0;
-                for (; s + W <= ncells; s += W) {
-                    V l, rt;
-                    weno_edges_v<W>(rq + s + r, weno_order_, weno_eps_, l, rt,
-                                    weno_variant_);
-                    l.store(el + s);
-                    rt.store(er + s);
-                }
-                for (; s < ncells; ++s) {
-                    simd::vd<1> l, rt;
-                    weno_edges_v<1>(rq + s + r, weno_order_, weno_eps_, l, rt,
-                                    weno_variant_);
-                    l.store(el + s);
-                    rt.store(er + s);
-                }
-            }
-
-            // Positivity safeguard: at severely under-resolved fronts
-            // high-order edge values can undershoot into negative density
-            // or pressure; fall back to the (positive) cell average for
-            // this cell, preserving design order where the solution is
-            // resolved. For stiffened fluids the physical bound is
-            // p > -pi_inf of the mixture (c^2 > 0), not p > 0. The
-            // scalar if becomes a mask + select per equation.
-            const auto positivity_block = [&](auto wtag, int s) {
-                constexpr int BW = decltype(wtag)::value;
-                using BV = simd::vd<BW>;
-                BV rho_l = 0.0, rho_r = 0.0;
-                for (int f = 0; f < lay_.num_fluids(); ++f) {
-                    const auto co = static_cast<std::size_t>(lay_.cont(f)) *
-                                    ncells;
-                    rho_l += BV::load(edge_left + co + s);
-                    rho_r += BV::load(edge_right + co + s);
-                }
-                BV eL[kMaxEqns], eR[kMaxEqns];
-                for (int f = 0; f < lay_.num_adv(); ++f) {
-                    const auto ao = static_cast<std::size_t>(lay_.adv(f)) *
-                                    ncells;
-                    eL[lay_.adv(f)] = BV::load(edge_left + ao + s);
-                    eR[lay_.adv(f)] = BV::load(edge_right + ao + s);
-                }
-                const auto eo = static_cast<std::size_t>(lay_.energy()) *
-                                ncells;
-                eL[lay_.energy()] = BV::load(edge_left + eo + s);
-                eR[lay_.energy()] = BV::load(edge_right + eo + s);
-                const MixtureV<BW> mL = mixture_at_v<BW>(lay_, fluids_, eL);
-                const MixtureV<BW> mR = mixture_at_v<BW>(lay_, fluids_, eR);
-                const auto ok_l = (eL[lay_.energy()] + mL.pi_inf()) > BV(0.0);
-                const auto ok_r = (eR[lay_.energy()] + mR.pi_inf()) > BV(0.0);
-                const auto bad = rho_l <= BV(0.0) || rho_r <= BV(0.0) ||
-                                 !ok_l || !ok_r;
-                if (!simd::any(bad)) return;
-                for (int q = 0; q < neq; ++q) {
-                    const BV v = BV::load(rowp[q] + s + r);
-                    double* el =
-                        edge_left + static_cast<std::size_t>(q) * ncells + s;
-                    double* er =
-                        edge_right + static_cast<std::size_t>(q) * ncells + s;
-                    simd::select(bad, v, BV::load(el)).store(el);
-                    simd::select(bad, v, BV::load(er)).store(er);
-                }
-            };
-            {
-                int s = 0;
-                for (; s + W <= ncells; s += W) {
-                    positivity_block(std::integral_constant<int, W>{}, s);
-                }
-                for (; s < ncells; ++s) {
-                    positivity_block(std::integral_constant<int, 1>{}, s);
-                }
-            }
-
-            std::int64_t t_recon = 0;
-            if (sample) {
-                t_recon = prof::clock_ns();
-                recon_ns += t_recon - t_start;
-            }
-
-            // Riemann fluxes at faces [c_lo, c_hi], W faces per step.
-            // Face slot f is face c_lo + f, separating cell slots f and
-            // f + 1: its left state is the right edge at slot f and its
-            // right state the left edge at slot f + 1.
-            {
-                V pl[kMaxEqns], pr[kMaxEqns], fx[kMaxEqns];
-                simd::vd<1> pl1[kMaxEqns], pr1[kMaxEqns], fx1[kMaxEqns];
-                int f = 0;
-                for (; f + W <= nfaces; f += W) {
-                    for (int q = 0; q < neq; ++q) {
-                        const auto qo = static_cast<std::size_t>(q) * ncells;
-                        pl[q] = V::load(edge_right + qo + f);
-                        pr[q] = V::load(edge_left + qo + f + 1);
-                    }
-                    const V uf = solve_riemann_v<W>(riemann_, lay_, fluids_,
-                                                    pl, pr, dim, fx);
-                    for (int q = 0; q < neq; ++q) {
-                        fx[q].store(flux_row +
-                                    static_cast<std::size_t>(q) * nfaces + f);
-                    }
-                    uf.store(uface_row + f);
-                }
-                for (; f < nfaces; ++f) {
-                    for (int q = 0; q < neq; ++q) {
-                        const auto qo = static_cast<std::size_t>(q) * ncells;
-                        pl1[q] = simd::vd<1>::load(edge_right + qo + f);
-                        pr1[q] = simd::vd<1>::load(edge_left + qo + f + 1);
-                    }
-                    const simd::vd<1> uf = solve_riemann_v<1>(
-                        riemann_, lay_, fluids_, pl1, pr1, dim, fx1);
-                    for (int q = 0; q < neq; ++q) {
-                        fx1[q].store(flux_row +
-                                     static_cast<std::size_t>(q) * nfaces + f);
-                    }
-                    uf.store(uface_row + f);
-                }
-            }
-            if (sample) {
-                t_mid = prof::clock_ns();
-                riemann_ns += t_mid - t_recon;
-            }
-
-            // Flux divergence and non-conservative sources, written
-            // through the per-equation pencil pointers (contiguous in
-            // both the direct and the tiled case).
-            {
+                // Per-equation pencil pointers at sweep cell c_lo:
+                // straight into the fields for x-sweeps, into the tile
+                // rows for y/z.
                 const double* rowc[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    rowc[q] = rowp[q] + row_at(span.c_lo);
+                double* dqp[kMaxEqns];
+                if (direct) {
+                    int i0 = 0, j0 = 0, k0 = 0;
+                    cell_of(dim, span.c_lo, t1, t2, i0, j0, k0);
+                    for (int q = 0; q < neq; ++q) {
+                        rowc[q] = prim_.eq(q).ptr(i0, j0, k0);
+                        dqp[q] = dq.eq(q).ptr(i0, j0, k0);
+                    }
+                } else {
+                    for (int q = 0; q < neq; ++q) {
+                        rowc[q] = tiles[0].row(q, b) + path.reach;
+                        dqp[q] = tiles[1].row(q, b);
+                    }
                 }
+
+                row_flux(rowc, t1 + b, t2, scratch, flux_row, uface_row,
+                         clock);
                 divergence_cells<W>(lay_, accumulate, n, neq, inv_dx, rowc,
                                     flux_row, nfaces, uface_row, dqp);
+                clock.lap(path.phases - 1);
             }
-            if (sample) div_ns += prof::clock_ns() - t_mid;
-            } // for b
 
-            if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_out(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                  dq_tile + static_cast<std::size_t>(q) *
-                                                tmax * dq_pitch,
-                                  dq_pitch);
-                }
-            }
+            if (!direct) transpose_out(dq, dim, t1, t2, tb, tiles[1]);
             t += tb;
         }
 
         if (timed && hi > lo) {
-            const char* names[3] = {"weno_recon", "riemann", "flux_div"};
-            std::int64_t ns[3] = {recon_ns, riemann_ns, div_ns};
-            credit_scaled(names, ns, 3, hi - lo, sampled_rows(lo, hi),
-                          prof::clock_ns() - chunk_t0);
+            credit_scaled(path.phase_names, clock.ns, path.phases, hi - lo,
+                          sampled_rows(lo, hi), prof::clock_ns() - chunk_t0);
         }
+    });
+}
+
+template <int W>
+void RhsEvaluator::sweep_weno_w(int dim, const SweepSpan& span, StateArray& dq,
+                                bool accumulate) {
+    const int n = span.c_hi - span.c_lo;
+    const int neq = lay_.num_eqns();
+    const int r = (weno_order_ - 1) / 2;
+    // Edge values live in SoA rows over the cell slots [0, ncells) (slot
+    // s holds cell c_lo + s - 1), so reconstruction, the Riemann solve,
+    // and the divergence all stream W contiguous slots per step. Scalar
+    // tails reuse the same templates at W = 1 — bitwise identical at any
+    // width.
+    const int ncells = n + 2;
+    const int nfaces = n + 1;
+    const auto edges = static_cast<std::size_t>(ncells) * neq;
+    const PencilPath path{kWenoZone[dim], r + 1, 2 * edges, 3,
+                          {"weno_recon", "riemann", "flux_div"}};
+
+    sweep_pencils<W>(dim, span, dq, accumulate, path, [&](
+        const double* const* rowc, int, int, double* scratch,
+        double* flux_row, double* uface_row, PhaseClock& clock) {
+        double* edge_left = scratch;
+        double* edge_right = scratch + edges;
+
+        // Edge reconstruction for cells [c_lo - 1, c_hi] (slots
+        // [0, ncells)), W cells per step straight off the contiguous
+        // pencil: slot s is cell c_lo + s - 1, the stencil center.
+        for (int q = 0; q < neq; ++q) {
+            const double* rq = rowc[q] - 1;
+            double* el = edge_left + static_cast<std::size_t>(q) * ncells;
+            double* er = edge_right + static_cast<std::size_t>(q) * ncells;
+            simd::for_blocks<W>(ncells, [&](auto wtag, int s) {
+                simd::vd<decltype(wtag)::value> l, rt;
+                weno_edges_v<decltype(wtag)::value>(
+                    rq + s, weno_order_, weno_eps_, l, rt, weno_variant_);
+                l.store(el + s);
+                rt.store(er + s);
+            });
+        }
+
+        // Positivity safeguard: at severely under-resolved fronts
+        // high-order edge values can undershoot into negative density
+        // or pressure; fall back to the (positive) cell average for
+        // this cell, preserving design order where the solution is
+        // resolved. For stiffened fluids the physical bound is
+        // p > -pi_inf of the mixture (c^2 > 0), not p > 0. The
+        // per-cell test is a mask + select per equation.
+        const auto positivity_block = [&](auto wtag, int s) {
+            constexpr int BW = decltype(wtag)::value;
+            using BV = simd::vd<BW>;
+            BV rho_l = 0.0, rho_r = 0.0;
+            for (int f = 0; f < lay_.num_fluids(); ++f) {
+                const auto co = static_cast<std::size_t>(lay_.cont(f)) *
+                                ncells;
+                rho_l += BV::load(edge_left + co + s);
+                rho_r += BV::load(edge_right + co + s);
+            }
+            BV eL[kMaxEqns], eR[kMaxEqns];
+            for (int f = 0; f < lay_.num_adv(); ++f) {
+                const auto ao = static_cast<std::size_t>(lay_.adv(f)) *
+                                ncells;
+                eL[lay_.adv(f)] = BV::load(edge_left + ao + s);
+                eR[lay_.adv(f)] = BV::load(edge_right + ao + s);
+            }
+            const auto eo = static_cast<std::size_t>(lay_.energy()) *
+                            ncells;
+            eL[lay_.energy()] = BV::load(edge_left + eo + s);
+            eR[lay_.energy()] = BV::load(edge_right + eo + s);
+            const MixtureV<BW> mL = mixture_at_v<BW>(lay_, fluids_, eL);
+            const MixtureV<BW> mR = mixture_at_v<BW>(lay_, fluids_, eR);
+            const auto ok_l = (eL[lay_.energy()] + mL.pi_inf()) > BV(0.0);
+            const auto ok_r = (eR[lay_.energy()] + mR.pi_inf()) > BV(0.0);
+            const auto bad = rho_l <= BV(0.0) || rho_r <= BV(0.0) ||
+                             !ok_l || !ok_r;
+            if (!simd::any(bad)) return;
+            for (int q = 0; q < neq; ++q) {
+                const BV v = BV::load(rowc[q] + s - 1);
+                double* el =
+                    edge_left + static_cast<std::size_t>(q) * ncells + s;
+                double* er =
+                    edge_right + static_cast<std::size_t>(q) * ncells + s;
+                simd::select(bad, v, BV::load(el)).store(el);
+                simd::select(bad, v, BV::load(er)).store(er);
+            }
+        };
+        simd::for_blocks<W>(ncells, positivity_block);
+        clock.lap(0);
+
+        // Riemann fluxes at faces [c_lo, c_hi], W faces per step. Face
+        // slot f separates cell slots f and f + 1: its left state is the
+        // right edge at slot f and its right state the left edge at slot
+        // f + 1.
+        const auto riemann_block = [&](auto wtag, int f) {
+            constexpr int BW = decltype(wtag)::value;
+            using BV = simd::vd<BW>;
+            BV pl[kMaxEqns], pr[kMaxEqns], fx[kMaxEqns];
+            for (int q = 0; q < neq; ++q) {
+                const auto qo = static_cast<std::size_t>(q) * ncells;
+                pl[q] = BV::load(edge_right + qo + f);
+                pr[q] = BV::load(edge_left + qo + f + 1);
+            }
+            const BV uf = solve_riemann_v<BW>(riemann_, lay_, fluids_, pl, pr,
+                                              dim, fx);
+            for (int q = 0; q < neq; ++q) {
+                fx[q].store(flux_row + static_cast<std::size_t>(q) * nfaces +
+                            f);
+            }
+            uf.store(uface_row + f);
+        };
+        simd::for_blocks<W>(nfaces, riemann_block);
+        clock.lap(1);
     });
 }
 
 void RhsEvaluator::sweep_weno_char(int dim, const SweepSpan& span,
                                    StateArray& dq, bool accumulate) {
-    const int n = span.c_hi - span.c_lo;
+    using V1 = simd::vd<1>;
     const int neq = lay_.num_eqns();
     const int r = (weno_order_ - 1) / 2;
-    const double inv_dx = 1.0 / dx(dim);
+    const int cells = 2 * r + 2; // stencil of face f: cells f-1-r .. f+r
+    const int nfaces = span.c_hi - span.c_lo + 1;
+    const PencilPath path{kWenoZone[dim], r + 1, 0, 2,
+                          {"char_riemann", "flux_div"}};
 
-    const int span1 = span.t1_hi - span.t1_lo; // fast transverse
-    const int span2 = span.t2_hi - span.t2_lo;
-
-    const int row_len = n + 2 * r + 2;
-    const int row0 = span.c_lo - 1 - r;
-    const auto row_at = [row0](int c) { return c - row0; };
-    const int nfaces = n + 1;
-
-    const bool timed = MFC_PROF_COMPILED != 0 && prof::enabled();
-
-    const bool direct = dim == 0;
-    const int tmax = direct ? 1 : exec::tile_rows();
-    const int prim_pitch = tile_pitch(row_len);
-    const int dq_pitch = tile_pitch(n);
-
-    const long long rows_total = static_cast<long long>(span1) * span2;
-    exec::parallel_for(kWenoZone[dim], 0, rows_total, [&](long long lo,
-                                                          long long hi) {
-        exec::Arena::Frame frame(exec::scratch_arena());
-        double* prim_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   prim_pitch);
-        double* dq_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   dq_pitch);
-        // Fluxes stay SoA over faces to share the divergence kernel with
-        // the component-wise path.
-        double* flux_row =
-            frame.doubles(static_cast<std::size_t>(nfaces) * neq);
-        double* uface_row = frame.doubles(static_cast<std::size_t>(nfaces));
-
-        std::int64_t recon_ns = 0;
-        std::int64_t div_ns = 0;
-        std::int64_t chunk_t0 = 0;
-        if (timed) chunk_t0 = prof::clock_ns();
-
-        for (long long t = lo; t < hi;) {
-            const int t1 = span.t1_lo + static_cast<int>(t % span1);
-            const int t2 = span.t2_lo + static_cast<int>(t / span1);
-            const int tb =
-                direct ? 1
-                       : static_cast<int>(std::min<long long>(
-                             std::min<long long>(tmax, span1 - t % span1),
-                             hi - t));
-
-            if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_in(prim_.eq(q), dim, row0, t1, t2, row_len, tb,
-                                 prim_tile + static_cast<std::size_t>(q) *
-                                                 tmax * prim_pitch,
-                                 prim_pitch);
-                }
-                if (accumulate) {
-                    for (int q = 0; q < neq; ++q) {
-                        transpose_in(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                     dq_tile + static_cast<std::size_t>(q) *
-                                                   tmax * dq_pitch,
-                                     dq_pitch);
-                    }
-                }
+    // Characteristic-wise reconstruction (Euler): at each face project
+    // the conservative stencil onto the flux Jacobian's eigenvectors at
+    // the face-average state, reconstruct the two adjacent cells' edge
+    // values in characteristic space, and project back. Projection,
+    // reconstruction, and the Riemann solve are interleaved per face on
+    // W = 1 lanes of the kernels the component-wise path vectorizes, so
+    // one segment covers the fused loop.
+    sweep_pencils<1>(dim, span, dq, accumulate, path, [&](
+        const double* const* rowc, int, int, double*, double* flux_row,
+        double* uface_row, PhaseClock& clock) {
+        double prim_avg[kMaxEqns];
+        V1 point[kMaxEqns], cons[kMaxEqns];
+        V1 w_stencil[8][kMaxEqns];
+        V1 w_edge[kMaxEqns], cons_edge[kMaxEqns];
+        V1 prim_l[kMaxEqns], prim_r[kMaxEqns], fx[kMaxEqns];
+        double row[8];
+        const auto unphysical = [&](const V1* prim) {
+            return prim[lay_.cont(0)].v <= 0.0 ||
+                   prim[lay_.energy()].v + fluids_[0].pi_inf <= 0.0;
+        };
+        // Face slot f separates cells f - 1 and f (relative to c_lo).
+        for (int f = 0; f < nfaces; ++f) {
+            for (int q = 0; q < neq; ++q) {
+                prim_avg[q] = 0.5 * (rowc[q][f - 1] + rowc[q][f]);
+            }
+            const EulerEigenvectors eig =
+                euler_eigenvectors(lay_, fluids_, prim_avg, dim);
+            for (int s = 0; s < cells; ++s) {
+                for (int q = 0; q < neq; ++q) point[q] = rowc[q][f - 1 - r + s];
+                prim_to_cons_v<1>(lay_, fluids_, point, cons);
+                eig.to_characteristic(cons, w_stencil[s]);
             }
 
-            for (int b = 0; b < tb; ++b) {
-            const bool sample = timed && (t + b) % kSampleStride == 0;
-            std::int64_t t_start = 0;
-            std::int64_t t_mid = 0;
-            if (sample) t_start = prof::clock_ns();
-
-            const double* rowp[kMaxEqns];
-            double* dqp[kMaxEqns];
-            if (direct) {
-                int i0 = 0, j0 = 0, k0 = 0;
-                cell_of(dim, span.c_lo, t1, t2, i0, j0, k0);
+            // One edge of every characteristic field, reconstructed from
+            // the stencil centered at slot `center` and projected back to
+            // primitives: cell f-1 sits at slot r (its right edge is the
+            // face's left state), cell f at r + 1 (its left edge, the
+            // right state).
+            const auto edge_state = [&](int center, bool right, V1* prim) {
                 for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_.eq(q).ptr(row0, t1, t2);
-                    dqp[q] = dq.eq(q).ptr(i0, j0, k0);
-                }
-            } else {
-                for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_tile +
-                              static_cast<std::size_t>(q * tmax + b) *
-                                  prim_pitch;
-                    dqp[q] = dq_tile + static_cast<std::size_t>(q * tmax + b) *
-                                           dq_pitch;
-                }
-            }
-
-            // Characteristic-wise reconstruction (Euler): at each face
-            // project the conservative stencil onto the flux Jacobian's
-            // eigenvectors at the face-average state, reconstruct the two
-            // adjacent cells' edge values in characteristic space, and
-            // project back. Projection, reconstruction, and the Riemann
-            // solve are interleaved per face, so one segment covers the
-            // fused loop.
-            double prim_avg[kMaxEqns];
-            double cons_stencil[8][kMaxEqns]; // cells f-1-r .. f+r
-            double w_stencil[8][kMaxEqns];
-            double w_edge[kMaxEqns];
-            double cons_edge[kMaxEqns];
-            double prim_l[kMaxEqns];
-            double prim_r[kMaxEqns];
-            double face_flux[kMaxEqns];
-            double row[8];
-            for (int f = span.c_lo; f <= span.c_hi; ++f) {
-                const int fs = f - span.c_lo; // local face slot
-                for (int q = 0; q < neq; ++q) {
-                    const double* rq = rowp[q];
-                    prim_avg[q] = 0.5 * (rq[row_at(f - 1)] + rq[row_at(f)]);
-                }
-                const EulerEigenvectors eig =
-                    euler_eigenvectors(lay_, fluids_, prim_avg, dim);
-
-                const int cells = 2 * r + 2; // f-1-r .. f+r
-                double point[kMaxEqns];
-                for (int s = 0; s < cells; ++s) {
-                    for (int q = 0; q < neq; ++q) {
-                        point[q] = rowp[q][row_at(f - 1 - r + s)];
-                    }
-                    prim_to_cons(lay_, fluids_, point, cons_stencil[s]);
-                    eig.to_characteristic(cons_stencil[s], w_stencil[s]);
-                }
-
-                // Cell f-1 sits at stencil slot r; cell f at r+1.
-                for (int q = 0; q < neq; ++q) {
-                    for (int s = 0; s < cells; ++s) row[s] = w_stencil[s][q];
-                    double el = 0.0, er = 0.0;
-                    weno_edges(row + r, weno_order_, weno_eps_, el, er,
-                               weno_variant_);
-                    w_edge[q] = er; // right edge of cell f-1
+                    for (int s = 0; s < cells; ++s) row[s] = w_stencil[s][q].v;
+                    V1 el, er;
+                    weno_edges_v<1>(row + center, weno_order_, weno_eps_, el,
+                                    er, weno_variant_);
+                    w_edge[q] = right ? er : el;
                 }
                 eig.from_characteristic(w_edge, cons_edge);
-                cons_to_prim(lay_, fluids_, cons_edge, prim_l);
-                for (int q = 0; q < neq; ++q) {
-                    for (int s = 0; s < cells; ++s) row[s] = w_stencil[s][q];
-                    double el = 0.0, er = 0.0;
-                    weno_edges(row + r + 1, weno_order_, weno_eps_, el, er,
-                               weno_variant_);
-                    w_edge[q] = el; // left edge of cell f
-                }
-                eig.from_characteristic(w_edge, cons_edge);
-                cons_to_prim(lay_, fluids_, cons_edge, prim_r);
+                cons_to_prim_v<1>(lay_, fluids_, cons_edge, prim);
+            };
+            edge_state(r, true, prim_l);
+            edge_state(r + 1, false, prim_r);
 
-                // Positivity fallback to the adjacent cell averages.
-                if (prim_l[lay_.cont(0)] <= 0.0 ||
-                    prim_l[lay_.energy()] + fluids_[0].pi_inf <= 0.0) {
-                    for (int q = 0; q < neq; ++q) {
-                        prim_l[q] = rowp[q][row_at(f - 1)];
-                    }
-                }
-                if (prim_r[lay_.cont(0)] <= 0.0 ||
-                    prim_r[lay_.energy()] + fluids_[0].pi_inf <= 0.0) {
-                    for (int q = 0; q < neq; ++q) {
-                        prim_r[q] = rowp[q][row_at(f)];
-                    }
-                }
-
-                uface_row[fs] = solve_riemann(riemann_, lay_, fluids_, prim_l,
-                                              prim_r, dim, face_flux);
-                for (int q = 0; q < neq; ++q) {
-                    flux_row[static_cast<std::size_t>(q) * nfaces + fs] =
-                        face_flux[q];
-                }
+            // Positivity fallback to the adjacent cell averages.
+            if (unphysical(prim_l)) {
+                for (int q = 0; q < neq; ++q) prim_l[q] = rowc[q][f - 1];
             }
-            if (sample) {
-                t_mid = prof::clock_ns();
-                recon_ns += t_mid - t_start; // credited as char_riemann
+            if (unphysical(prim_r)) {
+                for (int q = 0; q < neq; ++q) prim_r[q] = rowc[q][f];
             }
 
-            {
-                const double* rowc[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    rowc[q] = rowp[q] + row_at(span.c_lo);
-                }
-                divergence_cells<1>(lay_, accumulate, n, neq, inv_dx, rowc,
-                                    flux_row, nfaces, uface_row, dqp);
+            const V1 uf = solve_riemann_v<1>(riemann_, lay_, fluids_, prim_l,
+                                             prim_r, dim, fx);
+            uf.store(uface_row + f);
+            for (int q = 0; q < neq; ++q) {
+                fx[q].store(flux_row + static_cast<std::size_t>(q) * nfaces + f);
             }
-            if (sample) div_ns += prof::clock_ns() - t_mid;
-            } // for b
-
-            if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_out(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                  dq_tile + static_cast<std::size_t>(q) *
-                                                tmax * dq_pitch,
-                                  dq_pitch);
-                }
-            }
-            t += tb;
         }
-
-        if (timed && hi > lo) {
-            const char* names[2] = {"char_riemann", "flux_div"};
-            std::int64_t ns[2] = {recon_ns, div_ns};
-            credit_scaled(names, ns, 2, hi - lo, sampled_rows(lo, hi),
-                          prof::clock_ns() - chunk_t0);
-        }
+        clock.lap(0);
     });
 }
 
@@ -1101,13 +941,7 @@ void RhsEvaluator::compute_igr_sigma() {
                     out.store(igr_source_.ptr(i, j, k));
                 };
 
-                int i = 0;
-                for (; i + W <= local_.nx; i += W) {
-                    block(std::integral_constant<int, W>{}, i);
-                }
-                for (; i < local_.nx; ++i) {
-                    block(std::integral_constant<int, 1>{}, i);
-                }
+                simd::for_blocks<W>(local_.nx, block);
             }
         });
     });
@@ -1122,187 +956,64 @@ void RhsEvaluator::sweep_igr_w(int dim, const SweepSpan& span, StateArray& dq,
     const int n = span.c_hi - span.c_lo;
     const int n_full = extent_along(local_, dim);
     const int neq = lay_.num_eqns();
-    const double inv_dx = 1.0 / dx(dim);
-
-    const int span1 = span.t1_hi - span.t1_lo;
-    const int span2 = span.t2_hi - span.t2_lo;
-
-    // Face interpolation at order >= 5 reaches cells [f-2, f+1] for the
-    // faces [c_lo, c_hi]: the gathered pencil spans cells
-    // [c_lo - 2, c_hi + 1].
-    const int row_len = n + 4;
-    const int row0 = span.c_lo - 2;
-    const auto row_at = [row0](int c) { return c - row0; };
     const int nfaces = n + 1;
+    // Sigma at cells [c_lo - 1, c_hi]: clamped to the interior at global
+    // boundaries (homogeneous Neumann, consistent with the elliptic
+    // solve), read from the exchanged rank ghost at decomposition
+    // interfaces — serial and decomposed runs then see the same face
+    // averages bitwise.
+    const auto& iface = rank_iface_[static_cast<std::size_t>(dim)];
+    const int sig_lo = iface[0] ? -1 : 0;
+    const int sig_hi = iface[1] ? n_full : n_full - 1;
+    // Face interpolation at order >= 5 reaches cells [f-2, f+1] for the
+    // faces [c_lo, c_hi]: the pencil spans cells [c_lo - 2, c_hi + 1].
+    const PencilPath path{kIgrZone[dim], 2, static_cast<std::size_t>(n + 2),
+                          0, {}};
 
-    const bool direct = dim == 0;
-    const int tmax = direct ? 1 : exec::tile_rows();
-    const int prim_pitch = tile_pitch(row_len);
-    const int dq_pitch = tile_pitch(n);
-
-    const long long rows_total = static_cast<long long>(span1) * span2;
-    exec::parallel_for(kIgrZone[dim], 0, rows_total, [&](long long lo,
-                                                         long long hi) {
-        exec::Arena::Frame frame(exec::scratch_arena());
-        double* prim_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   prim_pitch);
-        double* dq_tile =
-            direct ? nullptr
-                   : frame.doubles(static_cast<std::size_t>(neq) * tmax *
-                                   dq_pitch);
-        // Sigma at cells [c_lo - 1, c_hi]: clamped to the interior at
-        // global boundaries (homogeneous Neumann, consistent with the
-        // elliptic solve), read from the exchanged rank ghost at
-        // decomposition interfaces — serial and decomposed runs then see
-        // the same face averages bitwise.
-        double* sig_row = frame.doubles(static_cast<std::size_t>(n + 2));
-        double* flux_row =
-            frame.doubles(static_cast<std::size_t>(nfaces) * neq);
-        double* uface_row = frame.doubles(static_cast<std::size_t>(nfaces));
-
-        for (long long t = lo; t < hi;) {
-            const int t1 = span.t1_lo + static_cast<int>(t % span1);
-            const int t2 = span.t2_lo + static_cast<int>(t / span1);
-            const int tb =
-                direct ? 1
-                       : static_cast<int>(std::min<long long>(
-                             std::min<long long>(tmax, span1 - t % span1),
-                             hi - t));
-
-            if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_in(prim_.eq(q), dim, row0, t1, t2, row_len, tb,
-                                 prim_tile + static_cast<std::size_t>(q) *
-                                                 tmax * prim_pitch,
-                                 prim_pitch);
-                }
-                if (accumulate) {
-                    for (int q = 0; q < neq; ++q) {
-                        transpose_in(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                     dq_tile + static_cast<std::size_t>(q) *
-                                                   tmax * dq_pitch,
-                                     dq_pitch);
-                    }
-                }
-            }
-
-            for (int b = 0; b < tb; ++b) {
-            const double* rowp[kMaxEqns];
-            double* dqp[kMaxEqns];
-            if (direct) {
-                int i0 = 0, j0 = 0, k0 = 0;
-                cell_of(dim, span.c_lo, t1, t2, i0, j0, k0);
-                for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_.eq(q).ptr(row0, t1, t2);
-                    dqp[q] = dq.eq(q).ptr(i0, j0, k0);
-                }
-            } else {
-                for (int q = 0; q < neq; ++q) {
-                    rowp[q] = prim_tile +
-                              static_cast<std::size_t>(q * tmax + b) *
-                                  prim_pitch;
-                    dqp[q] = dq_tile + static_cast<std::size_t>(q * tmax + b) *
-                                           dq_pitch;
-                }
-            }
-            const int sig_lo = rank_iface_[static_cast<std::size_t>(dim)][0]
-                                   ? -1
-                                   : 0;
-            const int sig_hi = rank_iface_[static_cast<std::size_t>(dim)][1]
-                                   ? n_full
-                                   : n_full - 1;
-            for (int c = span.c_lo - 1; c <= span.c_hi; ++c) {
-                int i = 0, j = 0, k = 0;
-                cell_of(dim, std::clamp(c, sig_lo, sig_hi), t1 + b, t2, i, j,
-                        k);
-                sig_row[c - span.c_lo + 1] = sigma_(i, j, k);
-            }
-
-            // Face loop, W faces per step (slot f is face c_lo + f):
-            // central interpolation of the primitives, entropic pressure
-            // on the face energy, then the shared central-flux + Rusanov
-            // kernel.
-            const auto face_block = [&](auto wtag, int f) {
-                constexpr int BW = decltype(wtag)::value;
-                using BV = simd::vd<BW>;
-                BV pface[kMaxEqns], pl[kMaxEqns], pr[kMaxEqns];
-                BV fx[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    const double* base = rowp[q] + row_at(span.c_lo + f);
-                    if (igr_.order >= 5) {
-                        pface[q] = (-BV::load(base - 2) +
-                                    BV(7.0) * BV::load(base - 1) +
-                                    BV(7.0) * BV::load(base) -
-                                    BV::load(base + 1)) /
-                                   BV(12.0);
-                    } else {
-                        pface[q] = BV(0.5) *
-                                   (BV::load(base - 1) + BV::load(base));
-                    }
-                    pl[q] = BV::load(base - 1);
-                    pr[q] = BV::load(base);
-                }
-                const BV sig = BV(0.5) * (BV::load(sig_row + f) +
-                                          BV::load(sig_row + f + 1));
-                pface[lay_.energy()] += sig;
-                const BV uf = igr_face_flux_v<BW>(lay_, fluids_, pface, pl,
-                                                  pr, dim, fx);
-                for (int q = 0; q < neq; ++q) {
-                    fx[q].store(flux_row + static_cast<std::size_t>(q) * nfaces +
-                                f);
-                }
-                uf.store(uface_row + f);
-            };
-            {
-                int f = 0;
-                for (; f + W <= nfaces; f += W) {
-                    face_block(std::integral_constant<int, W>{}, f);
-                }
-                for (; f < nfaces; ++f) {
-                    face_block(std::integral_constant<int, 1>{}, f);
-                }
-            }
-
-            {
-                const double* rowc[kMaxEqns];
-                for (int q = 0; q < neq; ++q) {
-                    rowc[q] = rowp[q] + row_at(span.c_lo);
-                }
-                divergence_cells<W>(lay_, accumulate, n, neq, inv_dx, rowc,
-                                    flux_row, nfaces, uface_row, dqp);
-            }
-            } // for b
-
-            if (!direct) {
-                for (int q = 0; q < neq; ++q) {
-                    transpose_out(dq.eq(q), dim, span.c_lo, t1, t2, n, tb,
-                                  dq_tile + static_cast<std::size_t>(q) *
-                                                tmax * dq_pitch,
-                                  dq_pitch);
-                }
-            }
-            t += tb;
+    sweep_pencils<W>(dim, span, dq, accumulate, path, [&](
+        const double* const* rowc, int t1, int t2, double* sig_row,
+        double* flux_row, double* uface_row, PhaseClock&) {
+        for (int c = span.c_lo - 1; c <= span.c_hi; ++c) {
+            int i = 0, j = 0, k = 0;
+            cell_of(dim, std::clamp(c, sig_lo, sig_hi), t1, t2, i, j, k);
+            sig_row[c - span.c_lo + 1] = sigma_(i, j, k);
         }
+
+        // Face loop, W faces per step (slot f is face c_lo + f): central
+        // interpolation of the primitives, entropic pressure on the face
+        // energy, then the shared central-flux + Rusanov kernel.
+        const auto face_block = [&](auto wtag, int f) {
+            constexpr int BW = decltype(wtag)::value;
+            using BV = simd::vd<BW>;
+            BV pface[kMaxEqns], pl[kMaxEqns], pr[kMaxEqns];
+            BV fx[kMaxEqns];
+            for (int q = 0; q < neq; ++q) {
+                const double* base = rowc[q] + f;
+                if (igr_.order >= 5) {
+                    pface[q] = (-BV::load(base - 2) +
+                                BV(7.0) * BV::load(base - 1) +
+                                BV(7.0) * BV::load(base) -
+                                BV::load(base + 1)) /
+                               BV(12.0);
+                } else {
+                    pface[q] = BV(0.5) * (BV::load(base - 1) + BV::load(base));
+                }
+                pl[q] = BV::load(base - 1);
+                pr[q] = BV::load(base);
+            }
+            const BV sig = BV(0.5) * (BV::load(sig_row + f) +
+                                      BV::load(sig_row + f + 1));
+            pface[lay_.energy()] += sig;
+            const BV uf = igr_face_flux_v<BW>(lay_, fluids_, pface, pl, pr,
+                                              dim, fx);
+            for (int q = 0; q < neq; ++q) {
+                fx[q].store(flux_row + static_cast<std::size_t>(q) * nfaces +
+                            f);
+            }
+            uf.store(uface_row + f);
+        };
+        simd::for_blocks<W>(nfaces, face_block);
     });
 }
-
-template void RhsEvaluator::sweep_weno_w<1>(int, const SweepSpan&, StateArray&,
-                                            bool);
-template void RhsEvaluator::sweep_weno_w<2>(int, const SweepSpan&, StateArray&,
-                                            bool);
-template void RhsEvaluator::sweep_weno_w<4>(int, const SweepSpan&, StateArray&,
-                                            bool);
-template void RhsEvaluator::sweep_weno_w<8>(int, const SweepSpan&, StateArray&,
-                                            bool);
-template void RhsEvaluator::sweep_igr_w<1>(int, const SweepSpan&, StateArray&,
-                                           bool);
-template void RhsEvaluator::sweep_igr_w<2>(int, const SweepSpan&, StateArray&,
-                                           bool);
-template void RhsEvaluator::sweep_igr_w<4>(int, const SweepSpan&, StateArray&,
-                                           bool);
-template void RhsEvaluator::sweep_igr_w<8>(int, const SweepSpan&, StateArray&,
-                                           bool);
 
 } // namespace mfc

@@ -112,20 +112,32 @@ public:
 
     /// The overlap path covers the component-wise WENO and IGR kernels;
     /// the characteristic-wise path keeps the synchronous reference
-    /// composition (it is scalar and never communication-bound).
+    /// composition (its face fluxes run one face at a time and it is
+    /// never communication-bound).
     [[nodiscard]] bool supports_overlap() const { return !char_decomp_; }
 
 private:
     void compute_primitives(const StateArray& cons);
-    /// Hyperbolic sweeps run as fused pencil kernels: each row is
-    /// gathered once into contiguous SoA buffers, then reconstruction,
-    /// Riemann fluxes, and the divergence run in-row, W cells/faces at a
-    /// time through the simd layer (W chosen at runtime by
-    /// simd::dispatch; lanes map 1:1 to cells, so every width is bitwise
-    /// identical — see docs/performance.md). With `accumulate` false the
-    /// flux divergence *writes* dq (the first active sweep needs no
-    /// pre-zeroed dq); later sweeps accumulate. The characteristic-wise
-    /// WENO path keeps its own scalar implementation.
+    /// Hyperbolic sweeps run as fused pencil kernels through one driver,
+    /// sweep_pencils: x-sweeps read each pencil in place (field rows are
+    /// SoA-contiguous along x), y/z sweeps stage tiles of x-adjacent
+    /// pencils through a transpose tile. Per pencil the numerics path's
+    /// row kernel writes the face fluxes and velocities, then the driver
+    /// runs the divergence, W cells/faces at a time through the simd
+    /// layer (W chosen at runtime by simd::dispatch; lanes map 1:1 to
+    /// cells, so every width is bitwise identical — see
+    /// docs/performance.md). With `accumulate` false the flux divergence
+    /// *writes* dq (the first active sweep needs no pre-zeroed dq);
+    /// later sweeps accumulate. The driver also owns the arena frame and
+    /// the sampled phase credit to the prof child zones.
+    struct PencilPath;
+    template <int W, class RowFlux>
+    void sweep_pencils(int dim, const SweepSpan& span, StateArray& dq,
+                       bool accumulate, const PencilPath& path,
+                       RowFlux&& row_flux);
+    /// The row kernels: WENO edges, positivity, and Riemann fluxes;
+    /// characteristic projection with the same kernels at W = 1; IGR
+    /// interpolation, sigma, and central fluxes.
     template <int W>
     void sweep_weno_w(int dim, const SweepSpan& span, StateArray& dq,
                       bool accumulate);
@@ -168,7 +180,7 @@ private:
     IgrInterfaceMask rank_iface_{};
     std::function<void(Field&)> sigma_exchange_;
 
-    // Row scratch (edge values, fluxes, gathered pencils) lives in
+    // Row scratch (edge values, fluxes, transpose tiles) lives in
     // per-thread exec::scratch_arena() frames inside the sweep bodies, so
     // rows parallelize without sharing mutable state.
 };

@@ -4,10 +4,15 @@
 #include <vector>
 
 #include "core/rng.hpp"
-#include "numerics/riemann.hpp"
+#include "lane_check.hpp"
 
 namespace mfc {
 namespace {
+
+// Every property runs at W = 1 and, lane-checked, at W = 4 (each lane
+// solving a different pair of states).
+using lanes::flux_checked;
+using lanes::riemann_checked;
 
 struct Fixture {
     EquationLayout lay{ModelKind::FiveEquation, 2, 1};
@@ -37,11 +42,9 @@ TEST_P(RiemannConsistency, EqualStatesGiveExactFlux) {
         const auto prim = f.state(rng.uniform(0.1, 10.0), rng.uniform(0.1, 2.0),
                                   rng.uniform(-2.0, 2.0), rng.uniform(0.1, 10.0),
                                   rng.uniform(1e-6, 1.0 - 1e-6));
-        std::vector<double> exact(prim.size());
-        physical_flux(f.lay, f.fluids, prim.data(), 0, exact.data());
-        std::vector<double> flux(prim.size());
-        (void)solve_riemann(GetParam(), f.lay, f.fluids, prim.data(),
-                            prim.data(), 0, flux.data());
+        const auto exact = flux_checked(f.lay, f.fluids, prim, 0);
+        std::vector<double> flux;
+        (void)riemann_checked(GetParam(), f.lay, f.fluids, prim, prim, 0, flux);
         for (std::size_t q = 0; q < flux.size(); ++q) {
             EXPECT_NEAR(flux[q], exact[q], 1e-10 * (1.0 + std::abs(exact[q])));
         }
@@ -53,10 +56,9 @@ TEST_P(RiemannConsistency, SupersonicRightFlowUpwindsLeft) {
     // u >> c on both sides: flux must equal the left physical flux.
     const auto l = f.state(1.0, 1.0, 10.0, 1.0, 0.5);
     const auto r = f.state(0.9, 1.1, 10.0, 1.1, 0.4);
-    std::vector<double> exact(l.size()), flux(l.size());
-    physical_flux(f.lay, f.fluids, l.data(), 0, exact.data());
-    const double uf =
-        solve_riemann(GetParam(), f.lay, f.fluids, l.data(), r.data(), 0, flux.data());
+    const auto exact = flux_checked(f.lay, f.fluids, l, 0);
+    std::vector<double> flux;
+    const double uf = riemann_checked(GetParam(), f.lay, f.fluids, l, r, 0, flux);
     for (std::size_t q = 0; q < flux.size(); ++q) {
         EXPECT_DOUBLE_EQ(flux[q], exact[q]);
     }
@@ -67,10 +69,9 @@ TEST_P(RiemannConsistency, SupersonicLeftFlowUpwindsRight) {
     const Fixture f;
     const auto l = f.state(1.0, 1.0, -10.0, 1.0, 0.5);
     const auto r = f.state(0.9, 1.1, -10.0, 1.1, 0.4);
-    std::vector<double> exact(l.size()), flux(l.size());
-    physical_flux(f.lay, f.fluids, r.data(), 0, exact.data());
-    (void)solve_riemann(GetParam(), f.lay, f.fluids, l.data(), r.data(), 0,
-                        flux.data());
+    const auto exact = flux_checked(f.lay, f.fluids, r, 0);
+    std::vector<double> flux;
+    (void)riemann_checked(GetParam(), f.lay, f.fluids, l, r, 0, flux);
     for (std::size_t q = 0; q < flux.size(); ++q) {
         EXPECT_DOUBLE_EQ(flux[q], exact[q]);
     }
@@ -87,11 +88,10 @@ TEST_P(RiemannConsistency, MirrorSymmetry) {
     lm[static_cast<std::size_t>(f.lay.mom(0))] *= -1.0;
     rm[static_cast<std::size_t>(f.lay.mom(0))] *= -1.0;
 
-    std::vector<double> flux(l.size()), fluxm(l.size());
-    const double uf =
-        solve_riemann(GetParam(), f.lay, f.fluids, l.data(), r.data(), 0, flux.data());
-    const double ufm = solve_riemann(GetParam(), f.lay, f.fluids, lm.data(),
-                                     rm.data(), 0, fluxm.data());
+    std::vector<double> flux, fluxm;
+    const double uf = riemann_checked(GetParam(), f.lay, f.fluids, l, r, 0, flux);
+    const double ufm =
+        riemann_checked(GetParam(), f.lay, f.fluids, lm, rm, 0, fluxm);
     EXPECT_NEAR(uf, -ufm, 1e-12);
     EXPECT_NEAR(flux[0], -fluxm[0], 1e-12);                        // mass
     EXPECT_NEAR(flux[static_cast<std::size_t>(f.lay.mom(0))],
@@ -104,25 +104,37 @@ INSTANTIATE_TEST_SUITE_P(Solvers, RiemannConsistency,
                          testing::Values(RiemannSolverKind::HLL,
                                          RiemannSolverKind::HLLC));
 
+/// Davis wave speeds {sl, sr, s_star} between `l` and `r`, lane-checked.
+std::vector<double> wave_speeds(const Fixture& f, const std::vector<double>& l,
+                                const std::vector<double>& r) {
+    const int n = f.lay.num_eqns();
+    return lanes::check(lanes::pair_states(f.lay, l, r), 3,
+                        [&](auto wtag, const auto* in, auto* o) {
+        const auto w = estimate_wave_speeds_v<decltype(wtag)::value>(
+            f.lay, f.fluids, in, in + n, 0);
+        o[0] = w.sl;
+        o[1] = w.sr;
+        o[2] = w.s_star;
+    });
+}
+
 TEST(Riemann, WaveSpeedsBracketContact) {
     const Fixture f;
     const auto l = f.state(1.0, 1.0, 0.0, 1.0, 0.5);
     const auto r = f.state(0.125, 0.125, 0.0, 0.1, 0.5);
-    const WaveSpeeds w =
-        estimate_wave_speeds(f.lay, f.fluids, l.data(), r.data(), 0);
-    EXPECT_LT(w.sl, w.s_star);
-    EXPECT_LT(w.s_star, w.sr);
-    EXPECT_LT(w.sl, 0.0);
-    EXPECT_GT(w.sr, 0.0);
+    const auto w = wave_speeds(f, l, r); // sl, sr, s_star
+    EXPECT_LT(w[0], w[2]);
+    EXPECT_LT(w[2], w[1]);
+    EXPECT_LT(w[0], 0.0);
+    EXPECT_GT(w[1], 0.0);
 }
 
 TEST(Riemann, SymmetricStatesGiveZeroContactSpeed) {
     const Fixture f;
     const auto s = f.state(1.0, 1.0, 0.0, 1.0, 0.5);
-    const WaveSpeeds w =
-        estimate_wave_speeds(f.lay, f.fluids, s.data(), s.data(), 0);
-    EXPECT_NEAR(w.s_star, 0.0, 1e-12);
-    EXPECT_NEAR(w.sl, -w.sr, 1e-12);
+    const auto w = wave_speeds(f, s, s);
+    EXPECT_NEAR(w[2], 0.0, 1e-12);
+    EXPECT_NEAR(w[0], -w[1], 1e-12);
 }
 
 TEST(Riemann, HllcResolvesStationaryContact) {
@@ -131,11 +143,10 @@ TEST(Riemann, HllcResolvesStationaryContact) {
     const Fixture f;
     const auto l = f.state(10.0, 1.0, 0.0, 1.0, 1.0 - 1e-6);
     const auto r = f.state(10.0, 1.0, 0.0, 1.0, 1e-6);
-    std::vector<double> hllc(l.size()), hll(l.size());
-    const double uf = solve_riemann(RiemannSolverKind::HLLC, f.lay, f.fluids,
-                                    l.data(), r.data(), 0, hllc.data());
-    (void)solve_riemann(RiemannSolverKind::HLL, f.lay, f.fluids, l.data(),
-                        r.data(), 0, hll.data());
+    std::vector<double> hllc, hll;
+    const double uf =
+        riemann_checked(RiemannSolverKind::HLLC, f.lay, f.fluids, l, r, 0, hllc);
+    (void)riemann_checked(RiemannSolverKind::HLL, f.lay, f.fluids, l, r, 0, hll);
     EXPECT_NEAR(uf, 0.0, 1e-12);
     EXPECT_NEAR(hllc[0], 0.0, 1e-12);             // no mass flux through contact
     EXPECT_NEAR(hllc[1], 0.0, 1e-12);
@@ -148,9 +159,9 @@ TEST(Riemann, SodFluxPushesMassRight) {
     const Fixture f;
     const auto l = f.state(1.0, 1.0, 0.0, 1.0, 1.0 - 1e-6);
     const auto r = f.state(0.125, 0.125, 0.0, 0.1, 1e-6);
-    std::vector<double> flux(l.size());
-    const double uf = solve_riemann(RiemannSolverKind::HLLC, f.lay, f.fluids,
-                                    l.data(), r.data(), 0, flux.data());
+    std::vector<double> flux;
+    const double uf =
+        riemann_checked(RiemannSolverKind::HLLC, f.lay, f.fluids, l, r, 0, flux);
     EXPECT_GT(uf, 0.0);       // contact moves right
     EXPECT_GT(flux[0], 0.0);  // heavy fluid flows right
 }
@@ -171,9 +182,8 @@ TEST(Riemann, TangentialVelocityAdvectsWithContact3D) {
     r[lay.mom(0)] = 0.5;
     l[lay.mom(1)] = 1.0;
     r[lay.mom(1)] = -1.0;
-    std::vector<double> flux(8);
-    (void)solve_riemann(RiemannSolverKind::HLLC, lay, fluids, l.data(), r.data(),
-                        0, flux.data());
+    std::vector<double> flux;
+    (void)riemann_checked(RiemannSolverKind::HLLC, lay, fluids, l, r, 0, flux);
     // Upwinding must take the left tangential momentum: rho*u*v = 1*0.5*1.
     EXPECT_NEAR(flux[lay.mom(1)], 0.5, 1e-10);
 }

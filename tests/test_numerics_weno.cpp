@@ -3,18 +3,17 @@
 #include <cmath>
 #include <vector>
 
-#include "numerics/weno.hpp"
+#include "lane_check.hpp"
 
 namespace mfc {
 namespace {
 
 constexpr double kEps = 1.0e-16;
 
+// Every property runs at W = 1 and, lane-checked, at W = 4.
 std::pair<double, double> edges(const std::vector<double>& v, std::size_t i,
                                 int order) {
-    double l = 0.0, r = 0.0;
-    weno_edges(v.data() + i, order, kEps, l, r);
-    return {l, r};
+    return lanes::edges_checked(v.data() + i, order, kEps);
 }
 
 TEST(Weno, FirstOrderIsPiecewiseConstant) {
@@ -68,8 +67,7 @@ TEST(Weno, FifthOrderQuadraticExactOnSmoothData) {
         const double x = i;
         v[static_cast<std::size_t>(i)] = x * x + 1.0 / 12.0;
     }
-    double l = 0.0, r = 0.0;
-    weno_edges(v.data() + 3, 5, kEps, l, r);
+    const auto [l, r] = edges(v, 3, 5);
     EXPECT_NEAR(r, 3.5 * 3.5, 1e-8);
     EXPECT_NEAR(l, 2.5 * 2.5, 1e-8);
 }
@@ -92,8 +90,8 @@ TEST(Weno, ConvergenceOrderOnSmoothFunction) {
             for (int i = 3; i < n - 3; ++i) {
                 double stencil[5];
                 for (int o = -2; o <= 2; ++o) stencil[o + 2] = avg(i + o);
-                double l = 0.0, r = 0.0;
-                weno_edges(stencil + 2, order, kEps, l, r);
+                const auto [l, r] =
+                    lanes::edges_checked(stencil + 2, order, kEps);
                 const double exact_r = std::sin((i + 1) * h);
                 const double exact_l = std::sin(i * h);
                 max_err = std::max(max_err, std::abs(r - exact_r));
@@ -113,8 +111,7 @@ TEST(Weno, EssentiallyNonOscillatoryAtDiscontinuity) {
     const std::vector<double> v = {0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0};
     for (std::size_t i = 2; i <= 4; ++i) {
         for (const int order : {3, 5}) {
-            double l = 0.0, r = 0.0;
-            weno_edges(v.data() + i, order, kEps, l, r);
+            const auto [l, r] = edges(v, i, order);
             EXPECT_GT(l, -0.05);
             EXPECT_LT(l, 1.05);
             EXPECT_GT(r, -0.05);
@@ -124,20 +121,19 @@ TEST(Weno, EssentiallyNonOscillatoryAtDiscontinuity) {
 }
 
 TEST(Weno, RequiredGhostsMatchesStencil) {
-    EXPECT_EQ(WenoScheme::required_ghosts(1), 1);
-    EXPECT_EQ(WenoScheme::required_ghosts(3), 2);
-    EXPECT_EQ(WenoScheme::required_ghosts(5), 3);
-    EXPECT_THROW((void)WenoScheme::required_ghosts(4), Error);
-    EXPECT_THROW((void)WenoScheme::required_ghosts(7), Error);
+    EXPECT_EQ(weno_ghost_layers(1), 1);
+    EXPECT_EQ(weno_ghost_layers(3), 2);
+    EXPECT_EQ(weno_ghost_layers(5), 3);
+    EXPECT_THROW((void)weno_ghost_layers(4), Error);
+    EXPECT_THROW((void)weno_ghost_layers(7), Error);
 }
 
 TEST(Weno, LargerEpsSmearsWeights) {
     // With huge eps the scheme reverts to the linear (ideal-weight)
     // combination; both must agree on smooth data, differ at a kink.
     const std::vector<double> kink = {0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0};
-    double l1, r1, l2, r2;
-    weno_edges(kink.data() + 3, 5, 1e-16, l1, r1);
-    weno_edges(kink.data() + 3, 5, 1e6, l2, r2);
+    const auto [l1, r1] = lanes::edges_checked(kink.data() + 3, 5, 1e-16);
+    const auto [l2, r2] = lanes::edges_checked(kink.data() + 3, 5, 1e6);
     EXPECT_NE(l1, l2);
 }
 

@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "lane_check.hpp"
 #include "physics/eos.hpp"
-#include "physics/flux.hpp"
 #include "physics/model.hpp"
 
 namespace mfc {
@@ -38,26 +38,42 @@ TEST(Eos, StiffeningRaisesSoundSpeed) {
     EXPECT_GT(water.sound_speed(1000.0, 1.0), air.sound_speed(1.0, 1.0));
 }
 
+// Kernel properties below run at W = 1 and, lane-checked, at W = 4 with a
+// different state in every lane.
+
+/// {gamma, pi_inf, energy(p)} of the mixture closure of a 1D two-fluid
+/// state with volume fractions (a0, a1) at pressure p.
+std::vector<double> mixture(const std::vector<StiffenedGas>& fluids, double a0,
+                            double a1, double p) {
+    const EquationLayout lay(ModelKind::FiveEquation, 2, 1);
+    std::vector<double> s(static_cast<std::size_t>(lay.num_eqns()), 0.0);
+    s[static_cast<std::size_t>(lay.adv(0))] = a0;
+    s[static_cast<std::size_t>(lay.adv(1))] = a1;
+    s[static_cast<std::size_t>(lay.energy())] = p;
+    return lanes::check(lanes::states(lay, s), 3,
+                        [&](auto wtag, const auto* in, auto* o) {
+        const auto m = mixture_at_v<decltype(wtag)::value>(lay, fluids, in);
+        o[0] = m.gamma();
+        o[1] = m.pi_inf();
+        o[2] = m.energy(in[lay.energy()]);
+    });
+}
+
 TEST(Eos, MixtureRecoversPureFluids) {
     const std::vector<StiffenedGas> fluids = {{4.4, 6000.0}, {1.4, 0.0}};
-    const double a1[2] = {1.0, 0.0};
-    const Mixture m1 = mix(fluids, a1, 2);
-    EXPECT_NEAR(m1.gamma(), 4.4, 1e-12);
-    EXPECT_NEAR(m1.pi_inf(), 6000.0, 1e-9);
-    const double a2[2] = {0.0, 1.0};
-    const Mixture m2 = mix(fluids, a2, 2);
-    EXPECT_NEAR(m2.gamma(), 1.4, 1e-12);
-    EXPECT_NEAR(m2.pi_inf(), 0.0, 1e-12);
+    const auto m1 = mixture(fluids, 1.0, 0.0, 1.0); // gamma, pi_inf, energy
+    EXPECT_NEAR(m1[0], 4.4, 1e-12);
+    EXPECT_NEAR(m1[1], 6000.0, 1e-9);
+    const auto m2 = mixture(fluids, 0.0, 1.0, 1.0);
+    EXPECT_NEAR(m2[0], 1.4, 1e-12);
+    EXPECT_NEAR(m2[1], 0.0, 1e-12);
 }
 
 TEST(Eos, MixtureEnergyIsAlphaWeighted) {
     const std::vector<StiffenedGas> fluids = {{1.4, 0.0}, {1.6, 0.0}};
-    const double alpha[2] = {0.3, 0.7};
-    const Mixture m = mix(fluids, alpha, 2);
     const double p = 2.0;
-    EXPECT_NEAR(m.energy(p),
-                alpha[0] * fluids[0].energy(p) + alpha[1] * fluids[1].energy(p),
-                1e-12);
+    EXPECT_NEAR(mixture(fluids, 0.3, 0.7, p)[2],
+                0.3 * fluids[0].energy(p) + 0.7 * fluids[1].energy(p), 1e-12);
 }
 
 // --- equation layouts --------------------------------------------------
@@ -108,6 +124,28 @@ TEST(Layout, ModelNamesRoundTrip) {
 
 // --- prim <-> cons round trips -------------------------------------------
 
+/// prim -> cons -> prim through the kernel templates, lane-checked; the
+/// single-point adapters must agree with them bitwise.
+std::vector<double> round_trip(const EquationLayout& lay,
+                               const std::vector<StiffenedGas>& fluids,
+                               const std::vector<double>& prim) {
+    const int n = lay.num_eqns();
+    const auto cons = lanes::check(lanes::states(lay, prim), n,
+                                   [&](auto wtag, const auto* in, auto* o) {
+        prim_to_cons_v<decltype(wtag)::value>(lay, fluids, in, o);
+    });
+    const auto back = lanes::check(lanes::states(lay, cons), n,
+                                   [&](auto wtag, const auto* in, auto* o) {
+        cons_to_prim_v<decltype(wtag)::value>(lay, fluids, in, o);
+    });
+    std::vector<double> adapter(prim.size());
+    prim_to_cons(lay, fluids, prim.data(), adapter.data());
+    EXPECT_EQ(adapter, cons);
+    cons_to_prim(lay, fluids, cons.data(), adapter.data());
+    EXPECT_EQ(adapter, back);
+    return back;
+}
+
 class PrimConsRoundTrip : public testing::TestWithParam<int> {};
 
 TEST_P(PrimConsRoundTrip, RandomStatesSurviveConversion) {
@@ -129,10 +167,7 @@ TEST_P(PrimConsRoundTrip, RandomStatesSurviveConversion) {
         prim[static_cast<std::size_t>(lay.adv(0))] = a1;
         prim[static_cast<std::size_t>(lay.adv(1))] = 1.0 - a1;
 
-        std::vector<double> cons(prim.size());
-        std::vector<double> back(prim.size());
-        prim_to_cons(lay, fluids, prim.data(), cons.data());
-        cons_to_prim(lay, fluids, cons.data(), back.data());
+        const std::vector<double> back = round_trip(lay, fluids, prim);
         for (std::size_t q = 0; q < prim.size(); ++q) {
             EXPECT_NEAR(back[q], prim[q], 1e-9 * (1.0 + std::abs(prim[q])))
                 << "eqn " << q << " trial " << trial;
@@ -161,10 +196,7 @@ TEST(PrimCons, SixEquationRoundTrip) {
         prim[static_cast<std::size_t>(lay.internal_energy(0))] = p;
         prim[static_cast<std::size_t>(lay.internal_energy(1))] = p;
 
-        std::vector<double> cons(prim.size());
-        std::vector<double> back(prim.size());
-        prim_to_cons(lay, fluids, prim.data(), cons.data());
-        cons_to_prim(lay, fluids, cons.data(), back.data());
+        const std::vector<double> back = round_trip(lay, fluids, prim);
         for (std::size_t q = 0; q < prim.size(); ++q) {
             EXPECT_NEAR(back[q], prim[q], 1e-8 * (1.0 + std::abs(prim[q])));
         }
@@ -194,8 +226,7 @@ TEST(Flux, QuiescentStateCarriesOnlyPressure) {
     prim[5] = 2.0; // pressure
     prim[6] = 0.5;
     prim[7] = 0.5;
-    std::vector<double> flux(8);
-    physical_flux(lay, fluids, prim.data(), 0, flux.data());
+    const auto flux = lanes::flux_checked(lay, fluids, prim, 0);
     EXPECT_DOUBLE_EQ(flux[0], 0.0);              // no mass flux
     EXPECT_DOUBLE_EQ(flux[lay.mom(0)], 2.0);     // pressure only
     EXPECT_DOUBLE_EQ(flux[lay.mom(1)], 0.0);
@@ -206,9 +237,7 @@ TEST(Flux, QuiescentStateCarriesOnlyPressure) {
 TEST(Flux, GalileanMassFlux) {
     const EquationLayout lay(ModelKind::Euler, 1, 1);
     const std::vector<StiffenedGas> fluids = {{1.4, 0.0}};
-    const double prim[3] = {2.0, 3.0, 1.0};
-    double flux[3];
-    physical_flux(lay, fluids, prim, 0, flux);
+    const auto flux = lanes::flux_checked(lay, fluids, {2.0, 3.0, 1.0}, 0);
     EXPECT_DOUBLE_EQ(flux[0], 6.0);              // rho u
     EXPECT_DOUBLE_EQ(flux[1], 2.0 * 9.0 + 1.0);  // rho u^2 + p
 }
@@ -225,9 +254,8 @@ TEST(Flux, DirectionSelectsNormalVelocity) {
     prim[lay.energy()] = 1.0;
     prim[lay.adv(0)] = 1.0 - 1e-6;
     prim[lay.adv(1)] = 1e-6;
-    std::vector<double> fx(8), fy(8);
-    physical_flux(lay, fluids, prim.data(), 0, fx.data());
-    physical_flux(lay, fluids, prim.data(), 1, fy.data());
+    const auto fx = lanes::flux_checked(lay, fluids, prim, 0);
+    const auto fy = lanes::flux_checked(lay, fluids, prim, 1);
     EXPECT_DOUBLE_EQ(fx[0], 0.0);
     EXPECT_DOUBLE_EQ(fy[0], 2.0);
 }

@@ -6,20 +6,20 @@
 #include <cmath>
 #include <cstdio>
 
-#include "numerics/weno.hpp"
+#include "lane_check.hpp"
 #include "solver/simulation.hpp"
 
 namespace mfc {
 namespace {
 
 // --- WENO weight variants ---------------------------------------------
+// Every property runs at W = 1 and, lane-checked, at W = 4.
 
 class WenoVariants : public testing::TestWithParam<WenoVariant> {};
 
 TEST_P(WenoVariants, ConstantExactness) {
     const std::vector<double> v(7, 2.5);
-    double l = 0.0, r = 0.0;
-    weno_edges(v.data() + 3, 5, 1e-16, l, r, GetParam());
+    const auto [l, r] = lanes::edges_checked(v.data() + 3, 5, 1e-16, GetParam());
     EXPECT_NEAR(l, 2.5, 1e-12);
     EXPECT_NEAR(r, 2.5, 1e-12);
 }
@@ -28,8 +28,8 @@ TEST_P(WenoVariants, LinearExactness) {
     std::vector<double> v(7);
     for (int i = 0; i < 7; ++i) v[static_cast<std::size_t>(i)] = 2.0 * i - 3.0;
     for (const int order : {3, 5}) {
-        double l = 0.0, r = 0.0;
-        weno_edges(v.data() + 3, order, 1e-16, l, r, GetParam());
+        const auto [l, r] =
+            lanes::edges_checked(v.data() + 3, order, 1e-16, GetParam());
         EXPECT_NEAR(r, 2.0 * 3.5 - 3.0, 1e-10);
         EXPECT_NEAR(l, 2.0 * 2.5 - 3.0, 1e-10);
     }
@@ -39,9 +39,10 @@ TEST_P(WenoVariants, MirrorSymmetry) {
     const std::vector<double> v = {1.0, 4.0, 2.0, 7.0, 3.0, 0.5, 2.5};
     std::vector<double> m(v.rbegin(), v.rend());
     for (const int order : {3, 5}) {
-        double l1, r1, l2, r2;
-        weno_edges(v.data() + 3, order, 1e-16, l1, r1, GetParam());
-        weno_edges(m.data() + 3, order, 1e-16, l2, r2, GetParam());
+        const auto [l1, r1] =
+            lanes::edges_checked(v.data() + 3, order, 1e-16, GetParam());
+        const auto [l2, r2] =
+            lanes::edges_checked(m.data() + 3, order, 1e-16, GetParam());
         EXPECT_NEAR(l1, r2, 1e-12);
         EXPECT_NEAR(r1, l2, 1e-12);
     }
@@ -50,8 +51,8 @@ TEST_P(WenoVariants, MirrorSymmetry) {
 TEST_P(WenoVariants, BoundedAtDiscontinuity) {
     const std::vector<double> v = {0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0};
     for (std::size_t i = 2; i <= 4; ++i) {
-        double l = 0.0, r = 0.0;
-        weno_edges(v.data() + i, 5, 1e-16, l, r, GetParam());
+        const auto [l, r] =
+            lanes::edges_checked(v.data() + i, 5, 1e-16, GetParam());
         EXPECT_GT(l, -0.1);
         EXPECT_LT(l, 1.1);
         EXPECT_GT(r, -0.1);
@@ -83,8 +84,8 @@ TEST(WenoVariants, SharperWeightsNearCriticalPoint) {
         for (int i0 = 2; i0 < n - 2; ++i0) {
             double stencil[5];
             for (int o = -2; o <= 2; ++o) stencil[o + 2] = avg(i0 + o);
-            double l = 0.0, r = 0.0;
-            weno_edges(stencil + 2, 5, 1e-40, l, r, variant);
+            const auto [l, r] =
+                lanes::edges_checked(stencil + 2, 5, 1e-40, variant);
             const double xl = -1.0 + i0 * h;
             worst = std::max(worst, std::abs(l - std::cos(kPi * xl + kPhase)));
             worst = std::max(worst,

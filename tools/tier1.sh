@@ -134,8 +134,11 @@ fi
 # Undefined-behavior smoke: rebuild with MFCPP_SANITIZE=undefined and run
 # the "simd"- and "layout"-labeled tests. The branch-free Riemann kernels
 # compute discarded select lanes; UBSan proves those lanes stay UB-free
-# at every width, and the layout parity suite exercises the direct
-# from-field load paths and transpose tiles under the same scrutiny.
+# at every width — through the width parity, lane-level kernel, and
+# state-pin tests, and through the characteristic-wise WENO sweep, which
+# runs the same kernels at W = 1 — and the layout parity suite exercises
+# the direct from-field load paths and transpose tiles under the same
+# scrutiny.
 # MFCPP_SANITIZE=off skips both sanitizer legs.
 if [ "${MFCPP_SANITIZE:-undefined}" != "off" ]; then
     UBSAN_DIR="$BUILD_DIR-ubsan"
