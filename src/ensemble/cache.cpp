@@ -9,8 +9,6 @@
 #include "core/error.hpp"
 #include "core/hash.hpp"
 #include "core/yaml.hpp"
-#include "exec/exec.hpp"
-#include "simd/simd.hpp"
 #include "toolchain/case_stack.hpp"
 
 namespace mfc::ensemble {
@@ -19,7 +17,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kSchema = "mfc-ensemble-cache-v1";
+constexpr const char* kSchema = "mfc-ensemble-cache-v2";
 
 /// Content hash of the golden file a regression job compares against, so
 /// regenerating a golden invalidates cached verdicts. Missing files hash
@@ -62,12 +60,10 @@ std::uint64_t parse_hex64(const std::string& s) {
     return v;
 }
 
-std::uint64_t job_key(const JobSpec& spec, int simd_width, int threads) {
+std::uint64_t job_key(const JobSpec& spec) {
     std::string record(kSchema);
     record += '\n';
     record += "kind=" + to_string(spec.kind) + '\n';
-    record += "simd_width=" + std::to_string(simd_width) + '\n';
-    record += "threads=" + std::to_string(threads) + '\n';
     switch (spec.kind) {
     case JobKind::Bench:
         record += "bench_case=" + spec.bench_case + '\n';
@@ -87,10 +83,6 @@ std::uint64_t job_key(const JobSpec& spec, int simd_width, int threads) {
     }
     record += toolchain::canonical_dict(spec.params);
     return fnv1a64(record);
-}
-
-std::uint64_t job_key(const JobSpec& spec) {
-    return job_key(spec, simd::width(), exec::num_threads());
 }
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}

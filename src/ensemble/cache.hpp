@@ -19,21 +19,16 @@ namespace mfc::ensemble {
 ///  - the full canonicalized case dictionary (solver, scheme, EOS, IC,
 ///    boundary and time-marching parameters — sorted key=value lines, so
 ///    the hash is independent of insertion order and platform),
-///  - the active SIMD width and worker-thread count. Results are bitwise
-///    width- and thread-independent by construction, so these fields are
-///    conservatively redundant — but including them means a cache can
-///    never mask a violation of that invariant, at the cost of a cold
-///    cache after reconfiguring,
 ///  - the golden file's content hash when the job compares against one
 ///    (a regenerated golden must invalidate cached pass/fail verdicts).
 ///
+/// Execution choices that provably cannot change a result stay out of the
+/// key: the SIMD width, the ISA level, and the worker-thread count (every
+/// one is bitwise-neutral; the state pins and the width/thread parity
+/// suites enforce it). A campaign therefore hits its cache on any host.
+///
 /// The key is deterministic across platforms, runs, and PRs; known values
 /// are pinned in test_ensemble.cpp.
-[[nodiscard]] std::uint64_t job_key(const JobSpec& spec, int simd_width,
-                                    int threads);
-
-/// Convenience overload using the process's current simd::width() and
-/// exec::num_threads().
 [[nodiscard]] std::uint64_t job_key(const JobSpec& spec);
 
 /// On-disk result cache: one small YAML file per key under `dir`, holding

@@ -79,11 +79,12 @@ inline constexpr KernelCost kHaloUnpackCost{16.0, 0.0};
 inline constexpr KernelCost kTransposeTileCost{16.0, 0.0};
 
 /// The single-core device the ubench model normalizes against: one
-/// generic server-class x86 core at baseline codegen (the build the
-/// microbenchmarks actually run under — no -march=native, no FMA
-/// contraction). Sustained per-core bandwidth and FP64 throughput are
-/// deliberately round numbers; the model column is a magnitude anchor,
-/// not a calibration.
+/// generic server-class x86 core running the kernels as built (host ISA
+/// level, no FMA contraction). Its FP64 peak follows the lane count the
+/// kernels run at: the build's register width (2 doubles for SSE2, 4 for
+/// AVX2, 8 for AVX-512), capped by the simd width. Sustained per-core
+/// bandwidth and FP64 throughput are deliberately round numbers; the
+/// model column is a magnitude anchor, not a calibration.
 [[nodiscard]] const DeviceSpec& reference_core();
 
 } // namespace mfc::perf

@@ -1,6 +1,7 @@
 #include "perf/ubench.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -18,20 +19,27 @@
 namespace mfc::perf {
 
 const DeviceSpec& reference_core() {
-    static const DeviceSpec core = [] {
-        DeviceSpec d;
-        d.name = "reference core";
-        d.type = DeviceType::CPU;
-        d.vendor = "generic";
-        d.usage = "1 core";
-        d.compiler = "baseline";
-        d.mem_bw_gbs = 15.0;   // sustained single-core stream
-        d.fp64_tflops = 0.012; // ~3 GHz x 2 FP64 pipes x 2-wide SSE
-        d.eff_bw = 1.0;
-        d.eff_flops = 0.5;
-        return d;
+    // One spec per FP64 lane count (1, 2, 4, 8), so the returned
+    // reference stays valid across set_width.
+    static const std::array<DeviceSpec, 4> cores = [] {
+        std::array<DeviceSpec, 4> c;
+        for (std::size_t i = 0; i < c.size(); ++i) {
+            const int lanes = 1 << i;
+            DeviceSpec& d = c[i];
+            d.name = "reference core";
+            d.type = DeviceType::CPU;
+            d.vendor = "generic";
+            d.usage = "1 core, " + std::to_string(lanes) + " FP64 lanes";
+            d.compiler = "no FMA contraction";
+            d.mem_bw_gbs = 15.0;           // sustained single-core stream
+            d.fp64_tflops = 0.006 * lanes; // ~3 GHz x 2 FP64 pipes x lanes
+            d.eff_bw = 1.0;
+            d.eff_flops = 0.5;
+        }
+        return c;
     }();
-    return core;
+    const int lanes = std::min(simd::width(), simd::register_lanes());
+    return cores[lanes == 8 ? 3 : static_cast<std::size_t>(lanes / 2)];
 }
 
 namespace {

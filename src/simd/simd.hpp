@@ -4,9 +4,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <type_traits>
 
 #include "core/error.hpp"
+
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "mfc::simd needs the GCC/Clang vector extensions"
+#endif
 
 /// Portable fixed-width SIMD layer.
 ///
@@ -14,10 +19,8 @@
 /// pencil row. Every operation is element-wise and executes the identical
 /// expression tree a scalar loop would, so results are bitwise independent
 /// of the width a kernel was compiled for: `vd<1>` *is* a plain double, and
-/// wider vectors are compiler vector extensions (GCC/Clang) or, failing
-/// that, a lane array the optimizer may or may not vectorize. Data-dependent
-/// branches are expressed as mask + select so there is no per-lane control
-/// flow.
+/// wider vectors are GCC/Clang vector extensions. Data-dependent branches
+/// are expressed as mask + select so there is no per-lane control flow.
 ///
 /// Semantics contracts (relied on for golden-file byte identity):
 ///  - vmin(a,b)/vmax(a,b) match std::min/std::max: return b only when the
@@ -26,6 +29,11 @@
 ///  - vsqrt applies std::sqrt per lane.
 ///  - select(m,a,b) picks a where m is true, b elsewhere, with no
 ///    arithmetic on the discarded lane beyond what was already computed.
+///
+/// ISA level. On x86-64 the solver libraries are compiled for the build
+/// host (-march=native, src/CMakeLists.txt) and always with
+/// -ffp-contract=off, so an AVX2 or AVX-512 build executes the same IEEE
+/// operations as a baseline SSE2 build and produces the same bits.
 namespace mfc::simd {
 
 /// Arena/row-buffer alignment contract: allocations the vector kernels
@@ -43,23 +51,27 @@ inline constexpr int kMaxWidth = 8;
 
 [[nodiscard]] bool width_allowed(int w);
 
-/// Current dispatch width for the vectorized solver paths. Defaults to 4
-/// (256-bit rows) and may be overridden by the MFC_SIMD_WIDTH environment
-/// variable or set_width(). Width 1 selects the scalar fallback everywhere.
+/// Current dispatch width for the vectorized solver paths. Defaults to 8
+/// in an AVX-512 build and 4 otherwise, and may be overridden by the
+/// MFC_SIMD_WIDTH environment variable or set_width(). Width 1 selects
+/// the scalar path everywhere.
 [[nodiscard]] int width();
 
 /// Set the dispatch width; must be one of 1, 2, 4, 8.
 void set_width(int w);
 
-#if defined(__GNUC__) || defined(__clang__)
-#define MFC_SIMD_VECTOR_EXT 1
-#else
-#define MFC_SIMD_VECTOR_EXT 0
-#endif
+/// The x86-64 level the solver libraries were compiled for ("x86-64",
+/// "x86-64-v3" with AVX2/FMA, "x86-64-v4" with AVX-512; "portable" off
+/// x86-64) and the current width, e.g. "x86-64-v4 W=8": the `isa:`
+/// provenance field of ubench, bench and profile output.
+[[nodiscard]] std::string isa_label();
+
+/// Doubles per vector register at the compiled level: 8 with AVX-512, 4
+/// with AVX, 2 otherwise.
+[[nodiscard]] int register_lanes();
 
 namespace detail {
 
-#if MFC_SIMD_VECTOR_EXT
 template <int W> struct native;
 template <> struct native<2> {
     typedef double vec __attribute__((vector_size(16)));
@@ -73,14 +85,8 @@ template <> struct native<8> {
     typedef double vec __attribute__((vector_size(64)));
     typedef long long mask __attribute__((vector_size(64)));
 };
-#endif
 
 } // namespace detail
-
-template <int W> struct vmask;
-template <int W> struct vd;
-
-#if MFC_SIMD_VECTOR_EXT
 
 /// Boolean lane mask: all-ones / all-zero 64-bit lanes, as produced by
 /// vector comparisons.
@@ -150,101 +156,6 @@ template <int W> struct vd {
 template <int W> [[nodiscard]] inline vd<W> select(vmask<W> m, vd<W> a, vd<W> b) {
     return {m.m ? a.v : b.v};
 }
-
-#else // !MFC_SIMD_VECTOR_EXT: plain lane arrays (portable fallback)
-
-template <int W> struct vmask {
-    bool m[W];
-
-    friend vmask operator&&(vmask a, vmask b) {
-        vmask r;
-        for (int i = 0; i < W; ++i) { r.m[i] = a.m[i] && b.m[i]; }
-        return r;
-    }
-    friend vmask operator||(vmask a, vmask b) {
-        vmask r;
-        for (int i = 0; i < W; ++i) { r.m[i] = a.m[i] || b.m[i]; }
-        return r;
-    }
-    friend vmask operator!(vmask a) {
-        vmask r;
-        for (int i = 0; i < W; ++i) { r.m[i] = !a.m[i]; }
-        return r;
-    }
-
-    [[nodiscard]] bool lane(int i) const { return m[i]; }
-};
-
-template <int W> [[nodiscard]] inline bool any(vmask<W> m) {
-    bool r = false;
-    for (int i = 0; i < W; ++i) { r = r || m.m[i]; }
-    return r;
-}
-
-template <int W> [[nodiscard]] inline bool all(vmask<W> m) {
-    bool r = true;
-    for (int i = 0; i < W; ++i) { r = r && m.m[i]; }
-    return r;
-}
-
-#define MFC_SIMD_LANEWISE(op)                                                  \
-    vd r;                                                                      \
-    for (int i = 0; i < W; ++i) { r.v[i] = op; }                               \
-    return r
-
-#define MFC_SIMD_CMP(op)                                                       \
-    vmask<W> r;                                                                \
-    for (int i = 0; i < W; ++i) { r.m[i] = op; }                               \
-    return r
-
-template <int W> struct vd {
-    double v[W];
-
-    static constexpr int width = W;
-
-    vd() = default;
-    vd(double s) {
-        for (int i = 0; i < W; ++i) { v[i] = s; }
-    }
-
-    [[nodiscard]] static vd load(const double* p) {
-        vd r;
-        std::memcpy(r.v, p, W * sizeof(double));
-        return r;
-    }
-    void store(double* p) const { std::memcpy(p, v, W * sizeof(double)); }
-
-    [[nodiscard]] double lane(int i) const { return v[i]; }
-    void set_lane(int i, double s) { v[i] = s; }
-
-    friend vd operator+(vd a, vd b) { MFC_SIMD_LANEWISE(a.v[i] + b.v[i]); }
-    friend vd operator-(vd a, vd b) { MFC_SIMD_LANEWISE(a.v[i] - b.v[i]); }
-    friend vd operator*(vd a, vd b) { MFC_SIMD_LANEWISE(a.v[i] * b.v[i]); }
-    friend vd operator/(vd a, vd b) { MFC_SIMD_LANEWISE(a.v[i] / b.v[i]); }
-    friend vd operator-(vd a) { MFC_SIMD_LANEWISE(-a.v[i]); }
-
-    vd& operator+=(vd o) { return *this = *this + o; }
-    vd& operator-=(vd o) { return *this = *this - o; }
-    vd& operator*=(vd o) { return *this = *this * o; }
-    vd& operator/=(vd o) { return *this = *this / o; }
-
-    friend vmask<W> operator<(vd a, vd b) { MFC_SIMD_CMP(a.v[i] < b.v[i]); }
-    friend vmask<W> operator<=(vd a, vd b) { MFC_SIMD_CMP(a.v[i] <= b.v[i]); }
-    friend vmask<W> operator>(vd a, vd b) { MFC_SIMD_CMP(a.v[i] > b.v[i]); }
-    friend vmask<W> operator>=(vd a, vd b) { MFC_SIMD_CMP(a.v[i] >= b.v[i]); }
-    friend vmask<W> operator==(vd a, vd b) { MFC_SIMD_CMP(a.v[i] == b.v[i]); }
-};
-
-template <int W> [[nodiscard]] inline vd<W> select(vmask<W> m, vd<W> a, vd<W> b) {
-    vd<W> r;
-    for (int i = 0; i < W; ++i) { r.v[i] = m.m[i] ? a.v[i] : b.v[i]; }
-    return r;
-}
-
-#undef MFC_SIMD_LANEWISE
-#undef MFC_SIMD_CMP
-
-#endif // MFC_SIMD_VECTOR_EXT
 
 /// Scalar specialization: the fallback path is literally scalar code, so
 /// W=1 kernels execute the exact instructions the pre-SIMD solver did.
@@ -331,31 +242,14 @@ template <int W> [[nodiscard]] inline vd<W> vsqrt(vd<W> a) {
 }
 template <> [[nodiscard]] inline vd<1> vsqrt(vd<1> a) { return {std::sqrt(a.v)}; }
 
-/// Gather W lanes from a strided sequence (stride in doubles). stride==1
-/// degenerates to an unaligned contiguous load.
-template <int W>
-[[nodiscard]] inline vd<W> load_strided(const double* p, std::ptrdiff_t stride) {
-    if (stride == 1) { return vd<W>::load(p); }
-    vd<W> r;
-    for (int i = 0; i < W; ++i) { r.set_lane(i, p[i * stride]); }
-    return r;
-}
-template <>
-[[nodiscard]] inline vd<1> load_strided(const double* p, std::ptrdiff_t) {
-    return vd<1>::load(p);
-}
-
-/// Scatter W lanes to a strided sequence (stride in doubles).
-template <int W>
-inline void store_strided(vd<W> v, double* p, std::ptrdiff_t stride) {
-    if (stride == 1) {
-        v.store(p);
-        return;
-    }
-    for (int i = 0; i < W; ++i) { p[i * stride] = v.lane(i); }
-}
-template <> inline void store_strided(vd<1> v, double* p, std::ptrdiff_t) {
-    v.store(p);
+/// Run block(integral_constant<int, BW>, i) over the cells [0, n) of a
+/// row: whole W-wide blocks first, then the remainder one cell at a time
+/// through the same template at BW = 1 — identical per-cell math, so the
+/// result does not depend on W.
+template <int W, class Block> inline void for_blocks(int n, Block&& block) {
+    int i = 0;
+    for (; i + W <= n; i += W) block(std::integral_constant<int, W>{}, i);
+    for (; i < n; ++i) block(std::integral_constant<int, 1>{}, i);
 }
 
 /// Invoke fn with an integral_constant<int, W> for the current dispatch
@@ -368,16 +262,6 @@ template <class Fn> decltype(auto) dispatch(Fn&& fn) {
     case 2: return fn(std::integral_constant<int, 2>{});
     default: return fn(std::integral_constant<int, 1>{});
     }
-}
-
-/// Run block(integral_constant<int, BW>, i) over the cells [0, n) of a
-/// row: whole W-wide blocks first, then the remainder one cell at a time
-/// through the same template at BW = 1 — identical per-cell math, so the
-/// result does not depend on W.
-template <int W, class Block> inline void for_blocks(int n, Block&& block) {
-    int i = 0;
-    for (; i + W <= n; i += W) block(std::integral_constant<int, W>{}, i);
-    for (; i < n; ++i) block(std::integral_constant<int, 1>{}, i);
 }
 
 } // namespace mfc::simd

@@ -1003,7 +1003,12 @@ void RhsEvaluator::sweep_igr_w(int dim, const SweepSpan& span, StateArray& dq,
             }
             const BV sig = BV(0.5) * (BV::load(sig_row + f) +
                                       BV::load(sig_row + f + 1));
+            // The loop above set pface[energy()]; gcc's -march=native
+            // codegen loses track of that and would warn.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
             pface[lay_.energy()] += sig;
+#pragma GCC diagnostic pop
             const BV uf = igr_face_flux_v<BW>(lay_, fluids_, pface, pl, pr,
                                               dim, fx);
             for (int q = 0; q < neq; ++q) {

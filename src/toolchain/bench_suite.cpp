@@ -20,6 +20,7 @@
 #include "prof/reduce.hpp"
 #include "prof/report.hpp"
 #include "resilience/chaos.hpp"
+#include "simd/simd.hpp"
 #include "solver/simulation.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -436,6 +437,9 @@ Yaml BenchSuite::run_all(const std::string& invocation) const {
     root["metadata"]["hostname"].set(Value(host_name()));
     root["metadata"]["compiler"].set(Value(compiler_id()));
     root["metadata"]["flags"].set(Value(build_flags()));
+    // The kernels' ISA level and simd width: the same `-march=native`
+    // builds AVX-512 code on one host and SSE2 code on another.
+    root["metadata"]["isa"].set(Value(simd::isa_label()));
     // Execution-layer tunables behind the numbers: the transpose tile
     // height and the chunk scheduling policy both move grindtimes.
     root["metadata"]["tile_rows"].set(
@@ -708,7 +712,7 @@ std::string bench_diff_report(const Yaml& reference, const Yaml& candidate,
     const Yaml* cand_meta = find(candidate, "metadata");
     for (const char* key :
          {"threads", "tile_rows", "partition", "hostname", "compiler",
-          "flags"}) {
+          "flags", "isa"}) {
         out += meta_line(ref_meta, cand_meta, key);
     }
     if (!out.empty()) out += "\n";

@@ -22,6 +22,7 @@
 #include "ensemble/stats.hpp"
 #include "ensemble/uq.hpp"
 #include "exec/exec.hpp"
+#include "simd/simd.hpp"
 #include "telemetry/telemetry.hpp"
 #include "toolchain/bench_suite.hpp"
 #include "toolchain/case_stack.hpp"
@@ -281,40 +282,49 @@ TEST(EnsembleCache, JobKeyPinsRecordFormat) {
     JobSpec spec;
     spec.kind = JobKind::Uq;
     spec.params = {{"a", 1}, {"b", 2.5}};
-    const std::string record = std::string("mfc-ensemble-cache-v1\n") +
-                               "kind=uq\nsimd_width=4\nthreads=2\n" +
+    const std::string record = std::string("mfc-ensemble-cache-v2\n") +
+                               "kind=uq\n" +
                                toolchain::canonical_dict(spec.params);
-    EXPECT_EQ(job_key(spec, 4, 2), fnv1a64(record));
+    EXPECT_EQ(job_key(spec), fnv1a64(record));
 }
 
 TEST(EnsembleCache, JobKeyCoversHardenedFields) {
     JobSpec spec = tiny_job(JobKind::Uq, "uq-0000");
-    const std::uint64_t base = job_key(spec, 4, 1);
+    const std::uint64_t base = job_key(spec);
 
     // Identity: index and id are scheduling metadata, not physics.
     JobSpec renamed = spec;
     renamed.id = "uq-9999";
     renamed.index = 42;
-    EXPECT_EQ(job_key(renamed, 4, 1), base);
+    EXPECT_EQ(job_key(renamed), base);
 
-    // SIMD width and thread count are conservatively part of the key.
-    EXPECT_NE(job_key(spec, 8, 1), base);
-    EXPECT_NE(job_key(spec, 4, 2), base);
+    // SIMD width and thread count cannot change a result, so they do not
+    // change the key either: a campaign hits its cache on any host.
+    const int prev_width = simd::width();
+    for (const int w : {1, 2, 4, 8}) {
+        simd::set_width(w);
+        EXPECT_EQ(job_key(spec), base) << "width " << w;
+    }
+    simd::set_width(prev_width);
+    {
+        const ThreadGuard threads(2);
+        EXPECT_EQ(job_key(spec), base);
+    }
 
     // Any case-dict change re-keys (solver/scheme/EOS/IC fields alike).
     JobSpec tweaked = spec;
     tweaked.params["weno_order"] = 3;
-    EXPECT_NE(job_key(tweaked, 4, 1), base);
+    EXPECT_NE(job_key(tweaked), base);
 
     // Kind discriminates even for identical dictionaries.
     JobSpec chaos = spec;
     chaos.kind = JobKind::Chaos;
-    EXPECT_NE(job_key(chaos, 4, 1), base);
+    EXPECT_NE(job_key(chaos), base);
 
     // Chaos knobs are part of the chaos key.
     JobSpec chaos2 = chaos;
     chaos2.chaos_seed = 99;
-    EXPECT_NE(job_key(chaos2, 4, 1), job_key(chaos, 4, 1));
+    EXPECT_NE(job_key(chaos2), job_key(chaos));
 
     // Golden content re-keys a regression job when it changes.
     const std::string dir = unique_dir("mfc_ens_golden");
@@ -324,9 +334,9 @@ TEST(EnsembleCache, JobKeyCoversHardenedFields) {
     JobSpec reg = spec;
     reg.kind = JobKind::Regression;
     reg.golden_path = golden;
-    const std::uint64_t key1 = job_key(reg, 4, 1);
+    const std::uint64_t key1 = job_key(reg);
     std::ofstream(golden) << "content-2\n";
-    EXPECT_NE(job_key(reg, 4, 1), key1);
+    EXPECT_NE(job_key(reg), key1);
     fs::remove_all(dir);
 }
 

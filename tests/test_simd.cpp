@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -100,25 +101,6 @@ TEST(Simd, SelectAndMaskCombinators) {
     EXPECT_FALSE(simd::any(m && none));
 }
 
-TEST(Simd, StridedLoadStoreRoundTrip) {
-    double buf[16];
-    for (int i = 0; i < 16; ++i) buf[i] = 100.0 + i;
-    const simd::vd<4> v = simd::load_strided<4>(buf, 3); // 0, 3, 6, 9
-    EXPECT_EQ(v.lane(0), 100.0);
-    EXPECT_EQ(v.lane(1), 103.0);
-    EXPECT_EQ(v.lane(2), 106.0);
-    EXPECT_EQ(v.lane(3), 109.0);
-    double out[16] = {};
-    simd::store_strided<4>(v, out, 3);
-    EXPECT_EQ(out[0], 100.0);
-    EXPECT_EQ(out[3], 103.0);
-    EXPECT_EQ(out[6], 106.0);
-    EXPECT_EQ(out[9], 109.0);
-    // Unit stride degenerates to a contiguous store.
-    simd::store_strided<4>(v, out, 1);
-    EXPECT_EQ(out[1], 103.0);
-}
-
 TEST(Simd, WidthDispatchAndValidation) {
     const int prev = simd::width();
     simd::set_width(2);
@@ -128,6 +110,14 @@ TEST(Simd, WidthDispatchAndValidation) {
     EXPECT_THROW(simd::set_width(3), Error);
     EXPECT_EQ(simd::width(), 2); // rejected widths leave the state alone
     simd::set_width(prev);
+}
+
+TEST(Simd, DefaultWidthFollowsTheBuild) {
+    // One 512-bit register of doubles in an AVX-512 build, 4 otherwise,
+    // unless MFC_SIMD_WIDTH overrides it.
+    if (std::getenv("MFC_SIMD_WIDTH") != nullptr) GTEST_SKIP();
+    EXPECT_EQ(simd::width(), simd::register_lanes() == 8 ? 8 : 4);
+    EXPECT_NE(simd::isa_label().find(" W="), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -154,7 +144,7 @@ void expect_width_parity(const CaseConfig& config) {
     const int prev = simd::width();
     const std::vector<double> scalar = final_state(config, 1);
     ASSERT_FALSE(scalar.empty());
-    for (const int w : {2, 4}) {
+    for (const int w : {2, 4, 8}) {
         const std::vector<double> vec = final_state(config, w);
         ASSERT_EQ(vec.size(), scalar.size());
         EXPECT_EQ(std::memcmp(scalar.data(), vec.data(),

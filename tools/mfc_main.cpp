@@ -321,8 +321,9 @@ int cmd_ubench(const Args& args) {
             "synthetic rows (min over --reps): ns/cell, achieved effective\n"
             "bandwidth, and the roofline estimate on the reference core\n"
             "(src/perf/kernel_model.hpp). --width pins the simd width\n"
-            "(default: MFC_SIMD_WIDTH or 4); results are bitwise identical\n"
-            "at every width, only the timing changes.\n"
+            "(default: MFC_SIMD_WIDTH, else 8 on AVX-512 and 4 otherwise);\n"
+            "results are bitwise identical at every width and ISA level,\n"
+            "only the timing changes.\n"
             "--check compares the guarded kernels against a reference\n"
             "band (ubench: section with ns_per_cell + tolerance entries)\n"
             "and exits 1 on a regression beyond the tolerance factor.\n");
@@ -338,8 +339,8 @@ int cmd_ubench(const Args& args) {
 
     const std::vector<perf::UbenchResult> results =
         perf::run_ubench_all(opts);
-    std::printf("ubench: %d cells/row, min of %d reps, simd width %d\n\n",
-                opts.cells, opts.reps, simd::width());
+    std::printf("ubench: %d cells/row, min of %d reps, isa: %s\n\n",
+                opts.cells, opts.reps, simd::isa_label().c_str());
     TextTable t({"Kernel", "ns/cell", "GB/s", "Model ns/cell", "x Model"});
     for (std::size_t col = 1; col < 5; ++col)
         t.set_align(col, TextTable::Align::Right);
@@ -361,6 +362,7 @@ int cmd_ubench(const Args& args) {
         out["metadata"]["reps"].set(Value(static_cast<long long>(opts.reps)));
         out["metadata"]["simd_width"].set(
             Value(static_cast<long long>(simd::width())));
+        out["metadata"]["isa"].set(Value(simd::isa_label()));
         Yaml& ub = out["ubench"];
         for (const perf::UbenchResult& r : results) {
             Yaml& node = ub[r.name];
@@ -385,6 +387,17 @@ int cmd_ubench(const Args& args) {
             return 1;
         }
         const Yaml& band = ref.at("ubench");
+        // The band holds for the ISA level it was measured at; say so
+        // when this build targets another one.
+        const Yaml* ref_meta =
+            ref.contains("metadata") ? &ref.at("metadata") : nullptr;
+        if (ref_meta != nullptr && ref_meta->contains("isa") &&
+            ref_meta->at("isa").value().to_string() != simd::isa_label()) {
+            std::printf("check: reference measured at isa %s, this run is "
+                        "%s\n",
+                        ref_meta->at("isa").value().to_string().c_str(),
+                        simd::isa_label().c_str());
+        }
         int failures = 0;
         for (const std::string& kernel : band.keys()) {
             const Yaml& node = band.at(kernel);
@@ -627,9 +640,9 @@ int cmd_profile(const Args& args) {
     const long long cells = config.grid.total_cells();
     const int eqns = config.layout().num_eqns();
     std::printf("case: %s  (%lld cells, %d eqns, %d steps + %d warm-up, "
-                "%d rank%s)\n\n",
+                "%d rank%s)\nisa:  %s\n\n",
                 config.title.c_str(), cells, eqns, config.t_step_stop, warmup,
-                ranks, ranks == 1 ? "" : "s");
+                ranks, ranks == 1 ? "" : "s", simd::isa_label().c_str());
 
     double wall_s = 0.0;
     double total_grind = 0.0;
@@ -737,6 +750,7 @@ int cmd_profile(const Args& args) {
         out["cells"].set(Value(cells));
         out["eqns"].set(Value(static_cast<long long>(eqns)));
         out["ranks"].set(Value(static_cast<long long>(ranks)));
+        out["isa"].set(Value(simd::isa_label()));
         out["walltime_s"].set(Value(wall_s));
         out["grindtime_ns"].set(Value(total_grind));
         out["phases"] = prof::phases_yaml(decomposition);

@@ -58,9 +58,10 @@ cmp "$BUILD_DIR/tier1_m_a.yml" "$BUILD_DIR/tier1_m_c.yml" || {
 "$MFC" ubench --cells 512 --reps 3 --width 2 -o "$BUILD_DIR/tier1_ubench.yml"
 
 # Perf smoke: the grindtime-dominant kernels must stay inside the
-# checked-in reference band (tools/ubench_ref.yml) — catches
-# order-of-magnitude regressions like a reintroduced gather/scatter.
-# Skippable on slow or throttled hosts.
+# checked-in reference band (tools/ubench_ref.yml, measured in this
+# build type at the recorded ISA level) — catches regressions of a
+# factor like a reintroduced gather/scatter or a build that lost its host
+# ISA flags. Skippable on slow or throttled hosts.
 if [ "${MFC_SKIP_PERF_SMOKE:-0}" != "1" ]; then
     "$MFC" ubench --cells 4096 --reps 9 --check tools/ubench_ref.yml
 
