@@ -1,10 +1,10 @@
-// Overhead budget of the observability layer: the same standardized case
-// is stepped with everything disarmed, with profiling enabled, with
-// profiling + the telemetry registry armed, and with tracing on top. The
-// headline number is the fully-armed/disarmed step-time ratio. The
-// observability layer is only honest if instrumented grindtimes match
-// uninstrumented runs — the acceptance budget is <2% overhead for
-// prof + telemetry combined (tracing is diagnostic and exempt).
+// Overhead budget of the observability runtime: the same standardized
+// case is stepped with everything off, with zones enabled, with zones +
+// metrics armed, and with tracing on top. The headline number is the
+// fully-armed/disarmed step-time ratio. The runtime is only honest if
+// instrumented grindtimes match uninstrumented runs — the acceptance
+// budget is <2% overhead for zones + metrics combined (tracing is
+// diagnostic and exempt).
 //
 // google-benchmark binary; run the summary mode with
 //   bench_prof_overhead --overhead-check
@@ -17,7 +17,6 @@
 #include <cstring>
 
 #include "core/timer.hpp"
-#include "prof/prof.hpp"
 #include "solver/case_config.hpp"
 #include "solver/simulation.hpp"
 #include "telemetry/telemetry.hpp"
@@ -32,9 +31,9 @@ CaseConfig overhead_case() {
     return standardized_benchmark_case(24, /*t_step_stop=*/1);
 }
 
-/// One switch for both observability pillars.
+/// Zones and metrics together.
 void arm_all(bool on) {
-    prof::set_enabled(on);
+    telemetry::set_enabled(on);
     telemetry::set_armed(on);
 }
 
@@ -48,8 +47,8 @@ void BM_StepInstrumentationOff(benchmark::State& state) {
 BENCHMARK(BM_StepInstrumentationOff)->Unit(benchmark::kMillisecond);
 
 void BM_StepProfilingOn(benchmark::State& state) {
-    prof::set_enabled(true);
-    prof::set_tracing(false);
+    telemetry::set_enabled(true);
+    telemetry::set_tracing(false);
     telemetry::set_armed(false);
     Simulation sim(overhead_case());
     sim.initialize();
@@ -58,21 +57,20 @@ void BM_StepProfilingOn(benchmark::State& state) {
         sim.step();
         // Bound accumulator growth across iterations; reset is cheap (an
         // epoch bump) and outside the per-zone hot path being measured.
-        prof::reset();
+        telemetry::reset();
     }
-    prof::set_enabled(false);
+    telemetry::set_enabled(false);
 }
 BENCHMARK(BM_StepProfilingOn)->Unit(benchmark::kMillisecond);
 
 void BM_StepProfilingAndTelemetryOn(benchmark::State& state) {
     arm_all(true);
-    prof::set_tracing(false);
+    telemetry::set_tracing(false);
     Simulation sim(overhead_case());
     sim.initialize();
     sim.step();
     for (auto _ : state) {
         sim.step();
-        prof::reset();
         telemetry::reset();
     }
     arm_all(false);
@@ -81,17 +79,16 @@ BENCHMARK(BM_StepProfilingAndTelemetryOn)->Unit(benchmark::kMillisecond);
 
 void BM_StepTracingOn(benchmark::State& state) {
     arm_all(true);
-    prof::set_tracing(true);
+    telemetry::set_tracing(true);
     Simulation sim(overhead_case());
     sim.initialize();
     sim.step();
     for (auto _ : state) {
         sim.step();
-        prof::reset();
         telemetry::reset();
     }
     arm_all(false);
-    prof::set_tracing(false);
+    telemetry::set_tracing(false);
 }
 BENCHMARK(BM_StepTracingOn)->Unit(benchmark::kMillisecond);
 
@@ -116,7 +113,6 @@ int overhead_check() {
     Simulation on_sim(overhead_case());
     on_sim.initialize();
     on_sim.step();
-    prof::reset();
     telemetry::reset();
     double best_pct = 1.0e30;
     double best_off = 0.0;
@@ -137,7 +133,6 @@ int overhead_check() {
                 on_sim.step();
                 on = std::min(on, t.seconds());
             }
-            prof::reset();
             telemetry::reset();
         }
         const double pct = 100.0 * (on - off) / off;
@@ -148,9 +143,9 @@ int overhead_check() {
         }
     }
     arm_all(false);
-    std::printf("prof+telemetry off: %.3f ms/step\n", best_off * 1e3);
-    std::printf("prof+telemetry on:  %.3f ms/step\n", best_on * 1e3);
-    std::printf("overhead:           %+.2f%% (budget < 2%%, best of %d)\n",
+    std::printf("zones+metrics off: %.3f ms/step\n", best_off * 1e3);
+    std::printf("zones+metrics on:  %.3f ms/step\n", best_on * 1e3);
+    std::printf("overhead:          %+.2f%% (budget < 2%%, best of %d)\n",
                 best_pct, blocks);
     const bool pass = best_pct < 2.0;
     std::printf("%s\n", pass ? "PASS" : "FAIL");

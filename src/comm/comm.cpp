@@ -7,7 +7,6 @@
 
 #include "core/hash.hpp"
 #include "exec/exec.hpp"
-#include "prof/prof.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mfc::comm {
@@ -46,7 +45,7 @@ std::string to_string(RankFailure::Cause c) {
 int Communicator::size() const { return world_->size(); }
 
 void Communicator::send(int dest, int tag, const void* data, std::size_t bytes) {
-    prof::Zone zone("comm_send");
+    telemetry::Zone zone("comm_send");
     zone.add_bytes(static_cast<std::int64_t>(bytes));
     MFC_REQUIRE(dest >= 0 && dest < world_->size(), "send: bad destination rank");
     World::Message msg;
@@ -104,7 +103,7 @@ void Communicator::send(int dest, int tag, const void* data, std::size_t bytes) 
 void Communicator::recv(int source, int tag, void* data, std::size_t bytes) {
     // Blocking wait: time spent here is the receiver-side exposure of
     // communication latency and load imbalance.
-    prof::Zone zone("comm_recv");
+    telemetry::Zone zone("comm_recv");
     zone.add_bytes(static_cast<std::int64_t>(bytes));
     MFC_REQUIRE(source >= 0 && source < world_->size(), "recv: bad source rank");
     const std::int64_t wait_t0 =
@@ -229,7 +228,7 @@ std::size_t Communicator::wait_any(std::vector<Request>& requests) {
     World& world = *comm->world_;
     // Blocking exposure accounted like recv: the zone spans the wait, and
     // the completed request's bytes are credited on the way out.
-    prof::Zone zone("comm_recv");
+    telemetry::Zone zone("comm_recv");
     const std::int64_t wait_t0 =
         telemetry::armed() ? telemetry::clock_ns() : -1;
     World::Mailbox& box =

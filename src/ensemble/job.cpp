@@ -5,9 +5,9 @@
 
 #include "core/error.hpp"
 #include "post/derived.hpp"
-#include "prof/prof.hpp"
 #include "resilience/chaos.hpp"
 #include "solver/simulation.hpp"
+#include "telemetry/telemetry.hpp"
 #include "toolchain/bench_suite.hpp"
 #include "toolchain/golden.hpp"
 
@@ -38,24 +38,18 @@ std::vector<double> flatten_interior(const Field& f) {
     return out;
 }
 
-/// Top exclusive phase accumulated on the calling thread between two
-/// thread_snapshot()s — per-job attribution that stays correct with
-/// concurrent jobs because zone state is thread-local and nested
-/// parallel_for regions run inline on the worker executing the job.
-void attribute_phases(const prof::Report& before, const prof::Report& after,
-                      JobResult& r) {
+/// Top exclusive phase of the job's window on the calling thread (a
+/// delta of two thread_zone_report()s) — per-job attribution that stays
+/// correct with concurrent jobs because zone state is thread-local and
+/// nested parallel_for regions run inline on the worker executing the job.
+void attribute_phases(const telemetry::Report& window, JobResult& r) {
     double best = 0.0;
     double total = 0.0;
-    for (const prof::ZoneStats& z : after.zones) {
-        double prev = 0.0;
-        if (const prof::ZoneStats* p = before.find(z.path)) {
-            prev = p->exclusive_ns;
-        }
-        const double delta = z.exclusive_ns - prev;
-        if (delta <= 0.0) continue;
-        total += delta;
-        if (delta > best) {
-            best = delta;
+    for (const telemetry::ZoneStats& z : window.zones) {
+        if (z.exclusive_ns <= 0.0) continue;
+        total += z.exclusive_ns;
+        if (z.exclusive_ns > best) {
+            best = z.exclusive_ns;
             r.top_phase = z.path;
         }
     }
@@ -136,9 +130,12 @@ JobResult execute_job(const JobSpec& spec) {
     r.index = spec.index;
     r.id = spec.id;
     r.kind = spec.kind;
-    const bool attribute = prof::enabled();
-    const prof::Report before =
-        attribute ? prof::thread_snapshot() : prof::Report{};
+    // The worker's "ensemble_campaign" chunk zone stays open across the
+    // job, so it drops out of the delta; attribute_phases reads only the
+    // zones the job entered, not total_ns.
+    const bool attribute = telemetry::enabled();
+    const telemetry::Report before =
+        attribute ? telemetry::thread_zone_report() : telemetry::Report{};
     try {
         switch (spec.kind) {
         case JobKind::Regression:
@@ -150,7 +147,10 @@ JobResult execute_job(const JobSpec& spec) {
         r.passed = false;
         r.detail = std::string("job failed: ") + e.what();
     }
-    if (attribute) attribute_phases(before, prof::thread_snapshot(), r);
+    if (attribute) {
+        attribute_phases(
+            telemetry::delta(before, telemetry::thread_zone_report()), r);
+    }
     return r;
 }
 

@@ -69,7 +69,7 @@ struct JobResult {
     // reproducible report sections).
     double wall_s = 0.0;
     double grindtime_ns = 0.0;
-    std::string top_phase;     ///< per-job prof attribution ("" when off)
+    std::string top_phase;     ///< per-job zone attribution ("" when off)
     double top_phase_pct = 0.0;
 };
 

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "core/error.hpp"
-#include "prof/prof.hpp"
 #include "simd/simd.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -424,9 +423,9 @@ void Team::run_slot(int slot) {
         drain();
     } else {
         // Per-thread phase attribution: workers record their chunk time
-        // under a root zone named after the loop, which prof::snapshot()
+        // under a root zone named after the loop, which zone_report()
         // merges and the Chrome trace shows per tid.
-        prof::Zone zone(label_);
+        telemetry::Zone zone(label_);
         drain();
     }
     --t_chunk_depth;
@@ -506,7 +505,7 @@ void parallel_for(const char* label, long long begin, long long end,
         t_inline_runs.add(1);
         const ParallelScope scope;
         if (t_chunk_depth > 0) {
-            prof::Zone zone(label);
+            telemetry::Zone zone(label);
             body(begin, end);
         } else {
             body(begin, end);

@@ -49,7 +49,7 @@ namespace mfc::exec {
 ///    rank-ordered gather (comm::Communicator::allreduce) on top, so the
 ///    two levels compose deterministically.
 ///
-/// Worker threads open a prof::Zone named after the loop label while
+/// Worker threads open a telemetry::Zone named after the loop label while
 /// executing their chunks, so profiles and Chrome traces attribute kernel
 /// time per thread; a nested parallel_for issued from inside a dispatched
 /// (possibly stolen) chunk opens the nested label's zone on the executing
@@ -119,7 +119,7 @@ using ChunkFn = std::function<void(long long, long long)>;
 /// Partition). Chunk boundaries depend only on the range and the
 /// configured thread count — never on which thread runs a chunk. Empty
 /// ranges return immediately; empty chunks are skipped. `label` must be
-/// a string literal (it keys prof zones by pointer).
+/// a string literal (zones are keyed by pointer).
 void parallel_for(const char* label, long long begin, long long end,
                   const ChunkFn& body);
 

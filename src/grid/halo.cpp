@@ -3,7 +3,6 @@
 #include <cstring>
 #include <vector>
 
-#include "prof/prof.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mfc {
@@ -101,7 +100,7 @@ void exchange_halos_dim(comm::CartComm& cart, StateArray& state, int dim) {
     const Field& f0 = state.eq(0);
     const int g = ghosts_along(f0, dim);
     if (g == 0) return; // inactive dimension
-    prof::Zone zone(kZone[dim]);
+    telemetry::Zone zone(kZone[dim]);
 
     const std::size_t count = halo_slab_doubles(state, dim);
     const std::size_t per_eq = count / static_cast<std::size_t>(state.num_eqns());

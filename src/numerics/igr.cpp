@@ -2,8 +2,8 @@
 
 #include "core/error.hpp"
 #include "exec/exec.hpp"
-#include "prof/prof.hpp"
 #include "simd/simd.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace mfc {
 

@@ -4,7 +4,7 @@
 #include "core/field.hpp"
 #include "exec/exec.hpp"
 #include "numerics/vec_axpy.hpp"
-#include "prof/prof.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace mfc {
 

@@ -6,7 +6,6 @@
 
 #include "core/error.hpp"
 #include "exec/exec.hpp"
-#include "prof/prof.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mfc::sched {
@@ -68,7 +67,7 @@ void TaskGraph::run() {
     stats_.assign(n, NodeStats{});
     trace_.clear();
     trace_.reserve(n);
-    const std::int64_t t0 = prof::clock_ns();
+    const std::int64_t t0 = telemetry::clock_ns();
     for (std::size_t i = 0; i < n; ++i) {
         stats_[i].name = nodes_[i].name;
         if (nodes_[i].unmet == 0) stats_[i].ready_ns = 0;
@@ -84,13 +83,13 @@ void TaskGraph::run() {
             Node& node = nodes_[i];
             NodeStats& st = stats_[i];
             if (!node.poll || st.ready_ns < 0 || st.done_ns >= 0) continue;
-            const std::int64_t begin = prof::clock_ns();
+            const std::int64_t begin = telemetry::clock_ns();
             bool finished;
             {
-                prof::Zone zone(node.name);
+                telemetry::Zone zone(node.name);
                 finished = node.poll(false);
             }
-            const std::int64_t end = prof::clock_ns();
+            const std::int64_t end = telemetry::clock_ns();
             st.exec_ns += end - begin;
             ++st.polls;
             if (finished) {
@@ -117,12 +116,12 @@ void TaskGraph::run() {
                 const NodeId pick = batch.front();
                 Node& node = nodes_[static_cast<std::size_t>(pick)];
                 NodeStats& st = stats_[static_cast<std::size_t>(pick)];
-                const std::int64_t begin = prof::clock_ns();
+                const std::int64_t begin = telemetry::clock_ns();
                 {
-                    prof::Zone zone(node.name);
+                    telemetry::Zone zone(node.name);
                     node.fn();
                 }
-                const std::int64_t end = prof::clock_ns();
+                const std::int64_t end = telemetry::clock_ns();
                 st.exec_ns += end - begin;
                 complete(pick, end - t0);
                 ++done;
@@ -146,15 +145,15 @@ void TaskGraph::run() {
                 "sched_nodes", static_cast<int>(k), [&](int b) {
                     Node& node =
                         nodes_[static_cast<std::size_t>(batch[static_cast<std::size_t>(b)])];
-                    node_begin[static_cast<std::size_t>(b)] = prof::clock_ns();
+                    node_begin[static_cast<std::size_t>(b)] = telemetry::clock_ns();
                     try {
-                        prof::Zone zone(node.name);
+                        telemetry::Zone zone(node.name);
                         node.fn();
                     } catch (...) {
                         errors[static_cast<std::size_t>(b)] =
                             std::current_exception();
                     }
-                    node_end[static_cast<std::size_t>(b)] = prof::clock_ns();
+                    node_end[static_cast<std::size_t>(b)] = telemetry::clock_ns();
                 });
             for (std::size_t b = 0; b < k; ++b) {
                 if (errors[b]) std::rethrow_exception(errors[b]);
@@ -181,13 +180,13 @@ void TaskGraph::run() {
                     "TaskGraph: no runnable node — dependency cycle");
         Node& node = nodes_[static_cast<std::size_t>(comm)];
         NodeStats& st = stats_[static_cast<std::size_t>(comm)];
-        const std::int64_t begin = prof::clock_ns();
+        const std::int64_t begin = telemetry::clock_ns();
         bool finished;
         {
-            prof::Zone zone(node.name);
+            telemetry::Zone zone(node.name);
             finished = node.poll(true);
         }
-        const std::int64_t end = prof::clock_ns();
+        const std::int64_t end = telemetry::clock_ns();
         st.exec_ns += end - begin;
         ++st.polls;
         MFC_REQUIRE(finished, "TaskGraph: blocking poll did not complete");

@@ -51,7 +51,7 @@ public:
         std::int64_t polls = 0;
     };
 
-    /// Add a compute node. `name` must be a string literal (prof zones
+    /// Add a compute node. `name` must be a string literal (zones
     /// key on the pointer). Returns the node id; ids are dense and
     /// allocated in call order.
     NodeId add(const char* name, std::function<void()> fn);

@@ -1,14 +1,13 @@
 #include "solver/overlap.hpp"
 
 #include "grid/grid.hpp"
-#include "prof/prof.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mfc {
 
 namespace {
 
-// Node names per dimension (string literals: prof keys zones by pointer).
+// Node names per dimension (string literals: zones are keyed by pointer).
 constexpr const char* kPostName[3] = {"halo_post_x", "halo_post_y",
                                       "halo_post_z"};
 constexpr const char* kWaitName[3] = {"halo_wait_x", "halo_wait_y",

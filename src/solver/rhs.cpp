@@ -13,8 +13,8 @@
 #include "numerics/weno.hpp"
 #include "physics/characteristics.hpp"
 #include "physics/vec_kernels.hpp"
-#include "prof/prof.hpp"
 #include "simd/simd.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace mfc {
 
@@ -51,14 +51,14 @@ void credit_scaled(const char* const* names, std::int64_t* ns, int count,
             ? static_cast<double>(chunk_ns) / sum
             : 1.0;
     for (int i = 0; i < count; ++i) {
-        prof::add_child_ns(names[i],
+        telemetry::add_child_ns(names[i],
                            static_cast<std::int64_t>(
                                static_cast<double>(ns[i]) * scale * cap),
                            chunk_rows);
     }
 }
 
-// Per-direction zone names (string literals: prof keys them by pointer).
+// Per-direction zone names (string literals: zones are keyed by pointer).
 constexpr const char* kWenoZone[3] = {"weno_x", "weno_y", "weno_z"};
 constexpr const char* kIgrZone[3] = {"igr_x", "igr_y", "igr_z"};
 constexpr const char* kViscousZone[3] = {"viscous_x", "viscous_y",
@@ -155,7 +155,7 @@ struct PhaseClock {
 
     void lap(int phase) {
         if (!sample) return;
-        const std::int64_t now = prof::clock_ns();
+        const std::int64_t now = telemetry::clock_ns();
         ns[phase] += now - last;
         last = now;
     }
@@ -322,7 +322,7 @@ void RhsEvaluator::evaluate(const StateArray& cons, StateArray& dq) {
     if (igr_.enabled) compute_igr_sigma();
     for (int d = 0; d < 3; ++d) {
         if (!active(local_, d)) continue;
-        prof::Zone zone(igr_.enabled ? kIgrZone[d] : kWenoZone[d]);
+        telemetry::Zone zone(igr_.enabled ? kIgrZone[d] : kWenoZone[d]);
         sweep_span(d, full_span(d), dq, accumulate);
         accumulate = true;
     }
@@ -362,7 +362,7 @@ void RhsEvaluator::apply_sources(StateArray& dq) {
     if (viscous_) {
         for (int d = 0; d < 3; ++d) {
             if (!active(local_, d)) continue;
-            prof::Zone zone(kViscousZone[d]);
+            telemetry::Zone zone(kViscousZone[d]);
             sweep_viscous(d, dq);
         }
     }
@@ -561,7 +561,7 @@ struct RhsEvaluator::PencilPath {
     int reach;                  ///< pencil cells read beyond [c_lo, c_hi)
     std::size_t scratch;        ///< per-chunk doubles for the row kernel
     int phases;                 ///< timed phases, flux_div last; 0: untimed
-    const char* phase_names[3]; ///< prof child zones (string literals)
+    const char* phase_names[3]; ///< child zones (string literals)
 };
 
 template <int W, class RowFlux>
@@ -595,8 +595,7 @@ void RhsEvaluator::sweep_pencils(int dim, const SweepSpan& span,
     // homogeneous, so only every kSampleStride-th row is timed and the
     // credit is scaled up — four clock reads per row on vectorized rows
     // is itself measurable against the <2% budget.
-    const bool timed =
-        path.phases > 0 && MFC_PROF_COMPILED != 0 && prof::enabled();
+    const bool timed = path.phases > 0 && telemetry::enabled();
 
     const long long rows_total = static_cast<long long>(span1) * span2;
     exec::parallel_for(path.zone, 0, rows_total, [&](long long lo,
@@ -623,7 +622,7 @@ void RhsEvaluator::sweep_pencils(int dim, const SweepSpan& span,
         double* uface_row = frame.doubles(static_cast<std::size_t>(nfaces));
 
         PhaseClock clock;
-        const std::int64_t chunk_t0 = timed ? prof::clock_ns() : 0;
+        const std::int64_t chunk_t0 = timed ? telemetry::clock_ns() : 0;
 
         for (long long t = lo; t < hi;) {
             const int t1 = span.t1_lo + static_cast<int>(t % span1);
@@ -648,7 +647,7 @@ void RhsEvaluator::sweep_pencils(int dim, const SweepSpan& span,
 
             for (int b = 0; b < tb; ++b) {
                 clock.sample = timed && (t + b) % kSampleStride == 0;
-                if (clock.sample) clock.last = prof::clock_ns();
+                if (clock.sample) clock.last = telemetry::clock_ns();
 
                 // Per-equation pencil pointers at sweep cell c_lo:
                 // straight into the fields for x-sweeps, into the tile
@@ -682,7 +681,7 @@ void RhsEvaluator::sweep_pencils(int dim, const SweepSpan& span,
 
         if (timed && hi > lo) {
             credit_scaled(path.phase_names, clock.ns, path.phases, hi - lo,
-                          sampled_rows(lo, hi), prof::clock_ns() - chunk_t0);
+                          sampled_rows(lo, hi), telemetry::clock_ns() - chunk_t0);
         }
     });
 }

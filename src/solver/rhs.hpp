@@ -129,7 +129,7 @@ private:
     /// docs/performance.md). With `accumulate` false the flux divergence
     /// *writes* dq (the first active sweep needs no pre-zeroed dq);
     /// later sweeps accumulate. The driver also owns the arena frame and
-    /// the sampled phase credit to the prof child zones.
+    /// the sampled phase credit to the child zones.
     struct PencilPath;
     template <int W, class RowFlux>
     void sweep_pencils(int dim, const SweepSpan& span, StateArray& dq,

@@ -10,7 +10,6 @@
 #include "grid/halo.hpp"
 #include "numerics/cfl.hpp"
 #include "numerics/relaxation.hpp"
-#include "prof/prof.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {

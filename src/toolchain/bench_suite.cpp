@@ -16,13 +16,10 @@
 #include "core/error.hpp"
 #include "exec/exec.hpp"
 #include "perf/ubench.hpp"
-#include "prof/prof.hpp"
-#include "prof/reduce.hpp"
-#include "prof/report.hpp"
 #include "resilience/chaos.hpp"
 #include "simd/simd.hpp"
 #include "solver/simulation.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/report.hpp"
 
 namespace mfc::toolchain {
 
@@ -39,33 +36,21 @@ int edge_from_memory(double mem_gb, int num_eqns) {
     return std::max(edge, 8);
 }
 
-/// Scoped enable of the profiler that restores the previous state, so
-/// benchmarking inside an application that profiles (or not) is neutral.
-class ProfilingScope {
+/// Scoped setting of one telemetry switch (zones enabled, metrics armed)
+/// that restores the previous state, so benchmarking inside an
+/// application that profiles (or not) is neutral.
+class SwitchScope {
 public:
-    explicit ProfilingScope(bool on) : prev_(prof::enabled()) {
-        prof::set_enabled(on);
-        if (on) prof::reset();
+    SwitchScope(bool (*get)(), void (*set)(bool), bool on)
+        : set_(set), prev_(get()) {
+        set(on);
     }
-    ProfilingScope(const ProfilingScope&) = delete;
-    ProfilingScope& operator=(const ProfilingScope&) = delete;
-    ~ProfilingScope() { prof::set_enabled(prev_); }
+    SwitchScope(const SwitchScope&) = delete;
+    SwitchScope& operator=(const SwitchScope&) = delete;
+    ~SwitchScope() { set_(prev_); }
 
 private:
-    bool prev_;
-};
-
-/// Scoped arm of the telemetry registry, restoring the previous state.
-class TelemetryScope {
-public:
-    explicit TelemetryScope(bool on) : prev_(telemetry::armed()) {
-        telemetry::set_armed(on);
-    }
-    TelemetryScope(const TelemetryScope&) = delete;
-    TelemetryScope& operator=(const TelemetryScope&) = delete;
-    ~TelemetryScope() { telemetry::set_armed(prev_); }
-
-private:
+    void (*set_)(bool);
     bool prev_;
 };
 
@@ -177,7 +162,12 @@ BenchCaseResult BenchSuite::run_case(const std::string& name) const {
     r.warmup_steps = options_.warmup_steps;
     r.ranks = ranks_;
 
-    const ProfilingScope profiling(options_.profile);
+    // Phases are the zones entered during the timed run: a before/after
+    // zone-report delta. Nothing is reset, so the suite-wide metrics
+    // window run_all() holds stays intact.
+    const bool profile = options_.profile;
+    const SwitchScope zones(telemetry::enabled, telemetry::set_enabled,
+                            profile);
 
     if (ranks_ == 1) {
         Simulation sim(config);
@@ -185,31 +175,28 @@ BenchCaseResult BenchSuite::run_case(const std::string& name) const {
         // Warm-up: pay cold-cache/first-touch cost outside the timing.
         for (int s = 0; s < options_.warmup_steps; ++s) sim.step();
         sim.reset_instrumentation();
-        if (options_.profile) prof::reset();
+        const telemetry::Report before =
+            profile ? telemetry::zone_report() : telemetry::Report{};
         sim.run();
         r.wall_s = sim.wall_seconds();
         r.grindtime_ns = sim.grindtime();
-        if (options_.profile) {
+        if (profile) {
             // Merged across threads: worker-side kernel zones (per-thread
             // attribution of the pencil sweeps) fold into the main
             // thread's tree.
-            const prof::GrindDecomposition d = prof::grind_decomposition(
-                prof::snapshot(), r.cells, r.eqns, sim.rhs_evals());
-            for (const prof::PhaseGrind& p : d.phases) {
-                r.phases.push_back(BenchPhase{p.path, p.depth, p.calls,
-                                              p.grind_ns, p.grind_ns,
-                                              p.grind_ns, p.percent});
-            }
+            r.phases = telemetry::grind_decomposition(
+                           telemetry::delta(before, telemetry::zone_report()),
+                           r.cells, r.eqns, sim.rhs_evals())
+                           .phases;
         }
         return r;
     }
 
-    // Decomposed execution through simMPI; rank 0 reports timing and the
-    // cross-rank min/mean/max phase decomposition.
-    double wall = 0.0;
-    double grind = 0.0;
-    std::vector<BenchPhase> phases;
-    const bool profile = options_.profile;
+    // Decomposed execution through simMPI; rank 0 reports timing, and
+    // every rank stores its own window's zones for the cross-rank
+    // min/mean/max reduction after the join.
+    std::vector<telemetry::Report> windows(static_cast<std::size_t>(ranks_));
+    long long evals = 0;
     const int warmup = options_.warmup_steps;
     comm::World world(ranks_);
     world.run([&](comm::Communicator& comm) {
@@ -224,54 +211,26 @@ BenchCaseResult BenchSuite::run_case(const std::string& name) const {
         sim.initialize();
         for (int s = 0; s < warmup; ++s) sim.step();
         sim.reset_instrumentation();
-        // Epoch reset between two barriers, with the profiler disabled so
-        // the synchronization itself stays out of the phase decomposition;
-        // barrier semantics guarantee every rank sees enabled == false
-        // before any rank re-enables and starts the timed run.
-        if (profile) prof::set_enabled(false);
-        comm.barrier();
-        if (profile && comm.rank() == 0) prof::reset();
-        comm.barrier();
-        if (profile) prof::set_enabled(true);
+        comm.barrier(); // start the timed run together
+        const telemetry::Report before =
+            profile ? telemetry::thread_zone_report() : telemetry::Report{};
         sim.run();
-        if (profile) prof::set_enabled(false);
-        comm.barrier();
         if (profile) {
-            const double work = static_cast<double>(r.cells) *
-                                static_cast<double>(r.eqns) *
-                                static_cast<double>(sim.rhs_evals());
-            const std::vector<prof::ReducedZone> reduced =
-                prof::reduce_report(prof::thread_snapshot(), comm);
-            if (comm.rank() == 0) {
-                // Exclusive times sum to the total measured time, so the
-                // sum over all zones is the per-rank mean total.
-                double total_mean_ns = 0.0;
-                for (const prof::ReducedZone& z : reduced) {
-                    total_mean_ns += z.mean_ns;
-                }
-                for (const prof::ReducedZone& z : reduced) {
-                    BenchPhase p;
-                    p.path = z.path;
-                    p.depth = z.depth;
-                    p.calls = z.calls;
-                    p.grind_ns = z.mean_ns / work;
-                    p.min_grind_ns = z.min_ns / work;
-                    p.max_grind_ns = z.max_ns / work;
-                    p.percent = total_mean_ns > 0.0
-                                    ? 100.0 * z.mean_ns / total_mean_ns
-                                    : 0.0;
-                    phases.push_back(std::move(p));
-                }
-            }
+            windows[static_cast<std::size_t>(comm.rank())] =
+                telemetry::delta(before, telemetry::thread_zone_report());
         }
         if (comm.rank() == 0) {
-            wall = sim.wall_seconds();
-            grind = sim.grindtime();
+            r.wall_s = sim.wall_seconds();
+            r.grindtime_ns = sim.grindtime();
+            evals = sim.rhs_evals();
         }
     });
-    r.wall_s = wall;
-    r.grindtime_ns = grind;
-    r.phases = std::move(phases);
+    if (profile) {
+        r.phases = telemetry::grind_decomposition(
+                       telemetry::reduce_ranks(windows), r.cells, r.eqns,
+                       evals)
+                       .phases;
+    }
     return r;
 }
 
@@ -279,7 +238,7 @@ double BenchSuite::sweep_case_grind(const CaseConfig& config,
                                     int nranks) const {
     // Pure timing run: no profiling, no phase reduction — the sweep is
     // about one number per (R, T, case) cell.
-    const ProfilingScope profiling(false);
+    const SwitchScope zones(telemetry::enabled, telemetry::set_enabled, false);
     const int warmup = options_.warmup_steps;
     if (nranks == 1) {
         Simulation sim(config);
@@ -317,8 +276,8 @@ BenchSuite::run_overlap_case(const std::string& name) const {
     // when the suite itself is serial, so the section is never vacuous.
     const int nranks = std::max(2, ranks_);
     const int warmup = options_.warmup_steps;
-    const ProfilingScope profiling(false);
-    const TelemetryScope telem(true);
+    const SwitchScope zones(telemetry::enabled, telemetry::set_enabled, false);
+    const SwitchScope metrics(telemetry::armed, telemetry::set_armed, true);
 
     // One decomposed run; returns rank 0's grindtime, the
     // decomposition-invariant global state hash, and (overlap runs) the
@@ -420,7 +379,7 @@ std::string build_flags() {
 Yaml BenchSuite::run_all(const std::string& invocation) const {
     // The whole suite runs with the registry armed; the summary's
     // canonical `metrics:` section is the delta over the suite window.
-    const TelemetryScope telem(true);
+    const SwitchScope metrics(telemetry::armed, telemetry::set_armed, true);
     const telemetry::Snapshot suite_before = telemetry::snapshot();
 
     Yaml root;
@@ -456,7 +415,7 @@ Yaml BenchSuite::run_all(const std::string& invocation) const {
         node["steps"].set(Value(static_cast<long long>(r.steps)));
         if (!r.phases.empty()) {
             Yaml& phases = node["phases"];
-            for (const BenchPhase& p : r.phases) {
+            for (const telemetry::PhaseGrind& p : r.phases) {
                 Yaml& entry = phases[p.path];
                 entry["grind_ns"].set(Value(p.grind_ns));
                 entry["pct"].set(Value(p.percent));

@@ -7,22 +7,9 @@
 #include "core/table.hpp"
 #include "core/yaml.hpp"
 #include "solver/case_config.hpp"
+#include "telemetry/report.hpp"
 
 namespace mfc::toolchain {
-
-/// One phase of a benchmark case's grindtime decomposition (mfc::prof
-/// exclusive time, expressed in ns/point/eqn/rhs-eval). For decomposed
-/// runs min/max carry the per-rank spread; serial runs have min == max
-/// == grind_ns.
-struct BenchPhase {
-    std::string path; ///< '/'-joined zone chain, e.g. "step/rk_stage/rhs/weno_x"
-    int depth = 0;
-    long long calls = 0;
-    double grind_ns = 0.0;
-    double min_grind_ns = 0.0;
-    double max_grind_ns = 0.0;
-    double percent = 0.0;
-};
 
 /// One benchmark case's measured performance.
 struct BenchCaseResult {
@@ -34,7 +21,9 @@ struct BenchCaseResult {
     int ranks = 1;
     double wall_s = 0.0;
     double grindtime_ns = 0.0;
-    std::vector<BenchPhase> phases; ///< empty when profiling is off
+    /// Grindtime decomposition; decomposed runs carry the per-rank
+    /// spread in min/max. Empty when profiling is off.
+    std::vector<telemetry::PhaseGrind> phases;
 };
 
 /// Tunables riding along with the --mem/-n sizing arguments.
@@ -42,8 +31,8 @@ struct BenchOptions {
     /// Untimed steps run before the measurement so the first timed step
     /// does not pay cold-cache and first-touch allocation cost.
     int warmup_steps = 1;
-    /// Collect the per-phase grindtime decomposition (mfc::prof) and
-    /// emit it as the `phases:` section of the YAML summary.
+    /// Collect the per-phase grindtime decomposition (telemetry zones)
+    /// and emit it as the `phases:` section of the YAML summary.
     bool profile = true;
     /// When positive, run a chaos campaign of this many trials on a small
     /// standardized case and emit its deterministic counters as the

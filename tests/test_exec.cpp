@@ -10,8 +10,8 @@
 #include "comm/cart.hpp"
 #include "comm/comm.hpp"
 #include "exec/exec.hpp"
-#include "prof/prof.hpp"
 #include "solver/simulation.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace mfc {
 namespace {
@@ -111,15 +111,15 @@ TEST(Exec, WorkStealingExecutesEveryRowExactlyOnce) {
 TEST(Exec, NestedParallelForAttributesRowsToExecutingThread) {
     // A nested parallel_for issued from inside a dispatched (possibly
     // stolen) chunk degrades to inline execution but must still open the
-    // nested label's prof zone on the executing thread, so stolen rows
+    // nested label's zone on the executing thread, so stolen rows
     // are attributed under the thread that actually ran them. A spin
     // barrier on each slot's first chunk forces every slot — dispatcher
     // and workers — through the nested loop, so the merged profile must
     // contain the worker-side "t_outer/t_inner" path.
     ThreadScope threads(4);
     PartitionScope part(exec::Partition::Steal);
-    prof::set_enabled(true);
-    prof::reset();
+    telemetry::set_enabled(true);
+    const telemetry::Report before = telemetry::zone_report();
     const int nslots = 4;
     std::atomic<int> arrivals{0};
     // n = 8 rows -> 8 single-row chunks over 4 slots; slot s starts at
@@ -139,9 +139,9 @@ TEST(Exec, NestedParallelForAttributesRowsToExecutingThread) {
             });
         }
     });
-    const prof::Report r = prof::snapshot();
-    prof::set_enabled(false);
-    prof::reset();
+    const telemetry::Report r =
+        telemetry::delta(before, telemetry::zone_report());
+    telemetry::set_enabled(false);
     EXPECT_NE(r.find("t_outer/t_inner"), nullptr)
         << "no worker recorded the nested zone under its own label";
 }

@@ -6,11 +6,9 @@
 
 #include "comm/comm.hpp"
 #include "core/error.hpp"
-#include "prof/prof.hpp"
-#include "prof/reduce.hpp"
-#include "prof/report.hpp"
+#include "telemetry/report.hpp"
 
-namespace mfc::prof {
+namespace mfc::telemetry {
 namespace {
 
 /// Spin until the monotonic clock has advanced by `ns`, so zone times are
@@ -21,8 +19,20 @@ void spin_for(std::int64_t ns) {
     }
 }
 
-/// Fresh epoch with the profiler on; restores the disabled default on
-/// scope exit so tests cannot leak state into each other.
+/// A numeric field ("ts", "dur") of the first trace event named `name`,
+/// or -1 when the event or the field is missing.
+double trace_field(const std::string& json, const std::string& name,
+                   const std::string& field) {
+    const std::size_t at = json.find("\"name\":\"" + name + "\"");
+    if (at == std::string::npos) return -1.0;
+    const std::string event = json.substr(at, json.find('}', at) - at);
+    const std::size_t key = event.find("\"" + field + "\":");
+    if (key == std::string::npos) return -1.0;
+    return std::stod(event.substr(key + field.size() + 3));
+}
+
+/// Fresh epoch with zones on; restores the disabled default on scope exit
+/// so tests cannot leak state into each other.
 struct ProfilerFixture {
     ProfilerFixture() {
         set_enabled(true);
@@ -50,7 +60,7 @@ TEST(Prof, NestedZonesBuildPathsAndDepths) {
             spin_for(50'000);
         }
     }
-    const Report r = thread_snapshot();
+    const Report r = thread_zone_report();
     ASSERT_EQ(r.zones.size(), 2u);
 
     const ZoneStats* outer = r.find("outer");
@@ -81,7 +91,7 @@ TEST(Prof, ExclusiveTimesSumToTotal) {
             spin_for(300'000);
         }
     }
-    const Report r = thread_snapshot();
+    const Report r = thread_zone_report();
     const ZoneStats* root = r.find("root");
     ASSERT_NE(root, nullptr);
     // exclusive = inclusive - sum(child inclusive): no double counting.
@@ -102,9 +112,9 @@ TEST(Prof, DisabledZonesRecordNothing) {
         PROF_ZONE("invisible");
         spin_for(10'000);
     }
-    EXPECT_TRUE(thread_snapshot().zones.empty());
+    EXPECT_TRUE(thread_zone_report().zones.empty());
     add_child_ns("also_invisible", 1'000);
-    EXPECT_TRUE(thread_snapshot().zones.empty());
+    EXPECT_TRUE(thread_zone_report().zones.empty());
 }
 
 TEST(Prof, ResetStartsANewEpoch) {
@@ -118,7 +128,7 @@ TEST(Prof, ResetStartsANewEpoch) {
         PROF_ZONE("after_reset");
         spin_for(10'000);
     }
-    const Report r = thread_snapshot();
+    const Report r = thread_zone_report();
     EXPECT_EQ(r.find("before_reset"), nullptr);
     ASSERT_NE(r.find("after_reset"), nullptr);
 }
@@ -131,7 +141,7 @@ TEST(Prof, BulkChildCreditFeedsTheTree) {
         add_child_ns("rows", 30'000, 64);
         add_child_ns("rows", 10'000, 16);
     }
-    const Report r = thread_snapshot();
+    const Report r = thread_zone_report();
     const ZoneStats* sweep = r.find("sweep");
     const ZoneStats* rows = r.find("sweep/rows");
     ASSERT_NE(sweep, nullptr);
@@ -149,15 +159,44 @@ TEST(Prof, ZoneBytesAccumulate) {
         zone.add_bytes(1024);
         zone.add_bytes(512);
     }
-    const Report r = thread_snapshot();
+    const Report r = thread_zone_report();
     ASSERT_NE(r.find("payload"), nullptr);
     EXPECT_EQ(r.find("payload")->bytes, 1536);
+}
+
+TEST(Prof, DeltaKeepsOnlyTheWindow) {
+    ProfilerFixture fixture;
+    {
+        PROF_ZONE("outer");
+        { PROF_ZONE("before_only"); }
+        add_child_ns("rows", 5'000, 4);
+    }
+    const Report before = thread_zone_report();
+    {
+        PROF_ZONE("outer");
+        spin_for(20'000);
+        add_child_ns("rows", 7'000, 3);
+    }
+    const Report d = delta(before, thread_zone_report());
+    // Paths without a call in the window drop out; re-entered paths
+    // report only the window's share.
+    EXPECT_EQ(d.find("outer/before_only"), nullptr);
+    ASSERT_NE(d.find("outer"), nullptr);
+    ASSERT_NE(d.find("outer/rows"), nullptr);
+    EXPECT_EQ(d.find("outer")->calls, 1);
+    EXPECT_EQ(d.find("outer/rows")->calls, 3);
+    EXPECT_DOUBLE_EQ(d.find("outer/rows")->inclusive_ns, 7'000.0);
+    EXPECT_DOUBLE_EQ(d.total_ns, d.find("outer")->inclusive_ns);
+    EXPECT_NEAR(d.find("outer")->exclusive_ns,
+                d.find("outer")->inclusive_ns - 7'000.0, 1.0);
 }
 
 TEST(Prof, RanksProfileConcurrentlyAndReduce) {
     ProfilerFixture fixture;
     constexpr int kRanks = 4;
-    std::vector<ReducedZone> reduced;
+    // Each rank thread fills its own slot; the reduction runs after the
+    // join, so no profiler traffic crosses the communicator.
+    std::vector<Report> windows(kRanks);
     comm::World world(kRanks);
     world.run([&](comm::Communicator& comm) {
         {
@@ -168,30 +207,28 @@ TEST(Prof, RanksProfileConcurrentlyAndReduce) {
                 spin_for(20'000);
             }
         }
-        comm.barrier();
-        std::vector<ReducedZone> zones =
-            reduce_report(thread_snapshot(), comm);
-        if (comm.rank() == 0) reduced = std::move(zones);
+        windows[static_cast<std::size_t>(comm.rank())] = thread_zone_report();
     });
+    const Report reduced = reduce_ranks(windows);
 
-    const ReducedZone* work = nullptr;
-    const ReducedZone* rank0_only = nullptr;
-    for (const ReducedZone& z : reduced) {
-        if (z.path == "work") work = &z;
-        if (z.path == "work/rank0_only") rank0_only = &z;
-    }
+    const ZoneStats* work = reduced.find("work");
+    const ZoneStats* rank0_only = reduced.find("work/rank0_only");
     ASSERT_NE(work, nullptr);
     ASSERT_NE(rank0_only, nullptr);
     EXPECT_EQ(work->calls, kRanks); // one call per rank, summed
-    EXPECT_GT(work->min_ns, 0.0);
-    EXPECT_LE(work->min_ns, work->mean_ns);
-    EXPECT_LE(work->mean_ns, work->max_ns);
+    EXPECT_GT(work->min_exclusive_ns, 0.0);
+    EXPECT_LE(work->min_exclusive_ns, work->exclusive_ns); // mean
+    EXPECT_LE(work->exclusive_ns, work->max_exclusive_ns);
     // A zone three ranks never entered contributes zero to the min.
     EXPECT_EQ(rank0_only->calls, 1);
-    EXPECT_DOUBLE_EQ(rank0_only->min_ns, 0.0);
-    EXPECT_GT(rank0_only->max_ns, 0.0);
+    EXPECT_DOUBLE_EQ(rank0_only->min_exclusive_ns, 0.0);
+    EXPECT_GT(rank0_only->max_exclusive_ns, 0.0);
+    // Rank means of exclusive times partition the rank-mean total.
+    double sum = 0.0;
+    for (const ZoneStats& z : reduced.zones) sum += z.exclusive_ns;
+    EXPECT_DOUBLE_EQ(sum, reduced.total_ns);
 
-    EXPECT_FALSE(reduced_table(reduced).str().empty());
+    EXPECT_FALSE(rank_spread_table(reduced).str().empty());
 }
 
 TEST(Prof, ChromeTraceJsonIsWellFormed) {
@@ -206,15 +243,21 @@ TEST(Prof, ChromeTraceJsonIsWellFormed) {
             spin_for(20'000);
         }
     }
-    const std::vector<TraceEvent> events = trace_events();
-    ASSERT_EQ(events.size(), 2u);
-    // Sorted by start time: the outer zone began first but ended last.
-    EXPECT_EQ(std::string(events[0].name), "traced_outer");
-    EXPECT_EQ(std::string(events[1].name), "traced_inner");
-    EXPECT_GE(events[1].ts_us, events[0].ts_us);
-    EXPECT_GE(events[0].dur_us, events[1].dur_us);
-
     const std::string json = chrome_trace_json();
+    // Sorted by start time: the outer zone began first but ended last.
+    const std::size_t outer = json.find("\"name\":\"traced_outer\"");
+    const std::size_t inner = json.find("\"name\":\"traced_inner\"");
+    ASSERT_NE(outer, std::string::npos);
+    ASSERT_NE(inner, std::string::npos);
+    EXPECT_LT(outer, inner);
+    const double outer_ts = trace_field(json, "traced_outer", "ts");
+    const double inner_ts = trace_field(json, "traced_inner", "ts");
+    const double outer_dur = trace_field(json, "traced_outer", "dur");
+    const double inner_dur = trace_field(json, "traced_inner", "dur");
+    EXPECT_GE(outer_ts, 0.0);
+    EXPECT_GE(inner_ts, outer_ts);
+    EXPECT_GE(inner_dur, 20.0); // the inner zone spun 20 us
+    EXPECT_GE(outer_dur, inner_dur);
     EXPECT_EQ(json.front(), '[');
     EXPECT_EQ(json[json.size() - 2], ']');
     std::size_t braces = 0;
@@ -223,7 +266,6 @@ TEST(Prof, ChromeTraceJsonIsWellFormed) {
     }
     EXPECT_EQ(braces, 2u);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"traced_inner\""), std::string::npos);
     EXPECT_NE(json.find("\"tid\":"), std::string::npos);
 }
 
@@ -232,8 +274,8 @@ TEST(Prof, TracingOffRecordsNoEvents) {
     {
         PROF_ZONE("untraced");
     }
-    EXPECT_TRUE(trace_events().empty());
-    ASSERT_FALSE(thread_snapshot().zones.empty()); // accumulators still fed
+    EXPECT_EQ(chrome_trace_json().find('{'), std::string::npos);
+    ASSERT_FALSE(thread_zone_report().zones.empty()); // accumulators still fed
 }
 
 TEST(ProfReport, GrindDecompositionSumsToTotal) {
@@ -246,7 +288,7 @@ TEST(ProfReport, GrindDecompositionSumsToTotal) {
             spin_for(150'000);
         }
     }
-    const Report r = thread_snapshot();
+    const Report r = thread_zone_report();
     constexpr std::int64_t kPoints = 1000;
     constexpr std::int64_t kEqns = 5;
     constexpr std::int64_t kEvals = 3;
@@ -282,4 +324,4 @@ TEST(ProfReport, InvalidWorkFactorsThrow) {
 }
 
 } // namespace
-} // namespace mfc::prof
+} // namespace mfc::telemetry

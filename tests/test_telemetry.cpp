@@ -1,7 +1,8 @@
 // Unit tests for the telemetry registry and flight recorder: ordered
 // merge determinism across thread and rank configurations, histogram
 // bucket edges, ring-buffer wraparound, crash postmortems that are
-// bitwise-stable across reruns, and the bench_diff tolerance-band gate.
+// bitwise-stable across reruns, the epoch and thread ids the trace
+// shares with them, and the bench_diff tolerance-band gate.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "resilience/fault.hpp"
 #include "resilience/recovery.hpp"
 #include "solver/case_config.hpp"
+#include "solver/simulation.hpp"
 #include "telemetry/telemetry.hpp"
 #include "toolchain/bench_suite.hpp"
 
@@ -226,6 +228,80 @@ TEST(FlightRecorder, CrashPostmortemBitwiseAcrossReruns) {
     EXPECT_NE(dumps[0].find("rank_failure"), std::string::npos);
     EXPECT_NE(dumps[0].find("rollback"), std::string::npos);
     EXPECT_EQ(dumps[0], dumps[1]);
+}
+
+// --- one runtime: shared epoch, clock and thread ids ----------------------
+
+/// Zones, tracing and metrics on together; all off again on scope exit.
+class Traced {
+public:
+    Traced() {
+        telemetry::set_enabled(true);
+        telemetry::set_tracing(true);
+        telemetry::reset();
+    }
+    ~Traced() {
+        telemetry::set_tracing(false);
+        telemetry::set_enabled(false);
+        telemetry::reset();
+    }
+
+private:
+    Armed armed_;
+};
+
+std::size_t count_of(const std::string& text, const std::string& what) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(what); at != std::string::npos;
+         at = text.find(what, at + 1)) {
+        ++n;
+    }
+    return n;
+}
+
+TEST(TelemetryTrace, ResetDropsEarlierCounterSamples) {
+    // Zones and counter samples share one epoch: a sample taken before
+    // reset() never reaches the trace, and every exported event sits at
+    // or after the epoch's origin.
+    const Traced traced;
+    Simulation sim(standardized_benchmark_case(8, 1));
+    sim.initialize();
+    tt_items.add(4242);
+    telemetry::sample_counters();
+    ASSERT_NE(telemetry::chrome_trace_json().find("\"value\":4242"),
+              std::string::npos);
+    telemetry::reset();
+    sim.step(); // zones plus one counter sample
+    const std::string json = telemetry::chrome_trace_json();
+    EXPECT_EQ(json.find("\"value\":4242"), std::string::npos);
+    EXPECT_EQ(count_of(json, "\"name\":\"tt.items\""), 1u);
+    EXPECT_NE(json.find("\"name\":\"step\""), std::string::npos);
+    ASSERT_GT(count_of(json, "\"ts\":"), 1u);
+    for (std::size_t at = json.find("\"ts\":"); at != std::string::npos;
+         at = json.find("\"ts\":", at + 1)) {
+        EXPECT_GE(std::stod(json.substr(at + 5)), 0.0) << json.substr(at, 24);
+    }
+}
+
+TEST(TelemetryTrace, TraceTidNamesThePostmortemThread) {
+    // One thread-id space: the `tid` of a thread's zone events and the
+    // `threadN` key of its postmortem ring are the same number.
+    const Traced traced;
+    std::thread t([] {
+        telemetry::record_event("tid_probe", 1, 2);
+        PROF_ZONE("tid_probe_zone");
+    });
+    t.join();
+    const std::string json = telemetry::chrome_trace_json();
+    const std::size_t zone = json.find("\"name\":\"tid_probe_zone\"");
+    ASSERT_NE(zone, std::string::npos);
+    const std::size_t tid = json.find("\"tid\":", zone);
+    ASSERT_NE(tid, std::string::npos);
+    const std::string key = "thread" + std::to_string(std::stoi(json.substr(tid + 6)));
+    const std::string pm = telemetry::postmortem_yaml("tid-test");
+    const std::size_t thread = pm.find(key + ":");
+    ASSERT_NE(thread, std::string::npos) << pm;
+    EXPECT_NE(pm.find("tid_probe 1 2", thread), std::string::npos);
 }
 
 // --- bench_diff tolerance bands ------------------------------------------

@@ -91,7 +91,7 @@ TEST(Bench, ProfiledRunDecomposesGrindtime) {
     // Exclusive phase grindtimes sum back to the measured grindtime;
     // warm-up and profiler overhead stay within the 5% acceptance band.
     double phase_sum = 0.0;
-    for (const BenchPhase& p : r.phases) {
+    for (const telemetry::PhaseGrind& p : r.phases) {
         EXPECT_GE(p.calls, 1) << p.path;
         phase_sum += p.grind_ns;
     }
@@ -111,12 +111,28 @@ TEST(Bench, ParallelPhasesCarryRankSpread) {
     const BenchCaseResult r = suite.run_case("5eq_weno5_hllc");
     ASSERT_FALSE(r.phases.empty());
     bool found_halo = false;
-    for (const BenchPhase& p : r.phases) {
+    for (const telemetry::PhaseGrind& p : r.phases) {
         EXPECT_LE(p.min_grind_ns, p.grind_ns) << p.path;
         EXPECT_LE(p.grind_ns, p.max_grind_ns) << p.path;
         if (p.path.find("halo") != std::string::npos) found_halo = true;
     }
     EXPECT_TRUE(found_halo); // decomposed runs exchange halos
+}
+
+TEST(Bench, ProfilingLeavesDeterministicMetricsUntouched) {
+    // Rank zone reports travel through per-rank slots, never through the
+    // instrumented communicator, so a profiled decomposed suite counts
+    // exactly the traffic of an unprofiled one.
+    const auto deterministic = [](bool profile) {
+        BenchOptions options;
+        options.profile = profile;
+        return BenchSuite(kTinyMem, 2, options)
+            .run_all("det")
+            .at("metrics")
+            .at("deterministic")
+            .dump();
+    };
+    EXPECT_EQ(deterministic(true), deterministic(false));
 }
 
 TEST(Bench, YamlSummaryCarriesPhases) {

@@ -35,14 +35,11 @@
 #include "exec/exec.hpp"
 #include "perf/scaling.hpp"
 #include "perf/ubench.hpp"
-#include "prof/prof.hpp"
 #include "simd/simd.hpp"
-#include "prof/reduce.hpp"
-#include "prof/report.hpp"
 #include "resilience/chaos.hpp"
 #include "solver/case_config.hpp"
 #include "solver/simulation.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/report.hpp"
 #include "toolchain/case_io.hpp"
 #include "toolchain/toolchain.hpp"
 
@@ -597,7 +594,7 @@ int cmd_profile(const Args& args) {
         (args.positional().empty() && !args.has("standard"))) {
         std::printf(
             "mfc profile <case-file> | --standard <edge> [options]\n\n"
-            "Run a case with mfc::prof enabled and print the per-phase\n"
+            "Run a case with telemetry zones enabled and print the per-phase\n"
             "grindtime decomposition (see docs/observability.md).\n\n"
             "  --standard <edge>  standardized 3D two-fluid benchmark case\n"
             "                     with <edge> cells per dimension\n"
@@ -631,8 +628,8 @@ int cmd_profile(const Args& args) {
         exec::set_num_threads(static_cast<int>(parse_int(args.get("threads"))));
     }
 
-    prof::set_enabled(true);
-    prof::set_tracing(args.has("trace"));
+    telemetry::set_enabled(true);
+    telemetry::set_tracing(args.has("trace"));
     // Counter tracks ride along in the trace: the per-step registry
     // samples merge into the phase events as Chrome "C" rows.
     if (args.has("trace")) telemetry::set_armed(true);
@@ -647,24 +644,27 @@ int cmd_profile(const Args& args) {
     double wall_s = 0.0;
     double total_grind = 0.0;
     long long evals = 0;
-    prof::GrindDecomposition decomposition;
-    std::vector<prof::ReducedZone> reduced;
+    telemetry::GrindDecomposition decomposition;
+    telemetry::Report reduced; // decomposed runs: the cross-rank spread
 
+    // The command owns the process, so reset() may drop the warm-up's
+    // zones, trace events and counter samples before the timed run.
     if (ranks == 1) {
         Simulation sim(config);
         sim.initialize();
         for (int s = 0; s < warmup; ++s) sim.step();
         sim.reset_instrumentation();
-        prof::reset();
+        telemetry::reset();
         sim.run();
         wall_s = sim.wall_seconds();
         total_grind = sim.grindtime();
         evals = sim.rhs_evals();
         // Merged across threads so worker-side kernel zones (per-thread
         // pencil attribution) appear in the decomposition.
-        decomposition = prof::grind_decomposition(prof::snapshot(),
-                                                  cells, eqns, evals);
+        decomposition = telemetry::grind_decomposition(
+            telemetry::zone_report(), cells, eqns, evals);
     } else {
+        std::vector<telemetry::Report> windows(static_cast<std::size_t>(ranks));
         comm::World world(ranks);
         world.run([&](comm::Communicator& comm) {
             const std::array<int, 3> dims = comm::dims_create(ranks, 3);
@@ -679,52 +679,34 @@ int cmd_profile(const Args& args) {
             sim.initialize();
             for (int s = 0; s < warmup; ++s) sim.step();
             sim.reset_instrumentation();
-            // Keep the synchronization barriers out of the profile: zones
-            // check enabled() on entry, and the barrier semantics ensure
-            // every rank enters barrier 2 (hence sees enabled == false)
-            // before any rank re-enables and starts the timed run.
-            prof::set_enabled(false);
+            // reset() needs every rank idle with no zone open: zones stay
+            // off while the ranks meet (which also keeps the barriers out
+            // of the profile), and rank 0 resets between two barriers.
+            telemetry::set_enabled(false);
             comm.barrier();
-            if (comm.rank() == 0) prof::reset();
+            if (comm.rank() == 0) telemetry::reset();
             comm.barrier();
-            prof::set_enabled(true);
+            telemetry::set_enabled(true);
             sim.run();
-            prof::set_enabled(false);
-            comm.barrier();
-            std::vector<prof::ReducedZone> zones =
-                prof::reduce_report(prof::thread_snapshot(), comm);
+            windows[static_cast<std::size_t>(comm.rank())] =
+                telemetry::thread_zone_report();
             if (comm.rank() == 0) {
-                reduced = std::move(zones);
                 wall_s = sim.wall_seconds();
                 total_grind = sim.grindtime();
                 evals = sim.rhs_evals();
             }
         });
-        // Rebuild a rank-mean Report so the grindtime decomposition and
-        // YAML come from the same code path as the serial run.
-        prof::Report mean;
-        for (const prof::ReducedZone& z : reduced) {
-            prof::ZoneStats s;
-            s.path = z.path;
-            s.name = z.path.substr(z.path.rfind('/') + 1);
-            s.depth = z.depth;
-            s.calls = z.calls;
-            s.exclusive_ns = z.mean_ns;
-            s.bytes = z.bytes;
-            // Exclusive times sum to the total measured time, so the sum
-            // over all zones reconstructs total_ns (reduce_report carries
-            // exclusive, not inclusive, time).
-            mean.total_ns += z.mean_ns;
-            mean.zones.push_back(std::move(s));
-        }
-        decomposition = prof::grind_decomposition(mean, cells, eqns, evals);
+        reduced = telemetry::reduce_ranks(windows);
+        decomposition =
+            telemetry::grind_decomposition(reduced, cells, eqns, evals);
     }
 
-    std::fputs(prof::decomposition_table(decomposition, min_pct).str().c_str(),
-               stdout);
+    std::fputs(
+        telemetry::decomposition_table(decomposition, min_pct).str().c_str(),
+        stdout);
     if (ranks > 1) {
         std::printf("\nper-rank spread (exclusive time):\n%s",
-                    prof::reduced_table(reduced).str().c_str());
+                    telemetry::rank_spread_table(reduced).str().c_str());
     }
     const double coverage =
         wall_s > 0.0 ? 100.0 * decomposition.total_ns * 1.0e-9 / wall_s : 0.0;
@@ -753,7 +735,7 @@ int cmd_profile(const Args& args) {
         out["isa"].set(Value(simd::isa_label()));
         out["walltime_s"].set(Value(wall_s));
         out["grindtime_ns"].set(Value(total_grind));
-        out["phases"] = prof::phases_yaml(decomposition);
+        out["phases"] = telemetry::phases_yaml(decomposition);
         out.save(args.get("yaml"));
         std::printf("wrote %s\n", args.get("yaml").c_str());
     }

@@ -52,6 +52,16 @@ cmp "$BUILD_DIR/tier1_m_a.yml" "$BUILD_DIR/tier1_m_b.yml" || {
 cmp "$BUILD_DIR/tier1_m_a.yml" "$BUILD_DIR/tier1_m_c.yml" || {
     echo "tier1: metrics not reproducible across thread counts" >&2
     exit 1; }
+# The same contract for the bench summary of a decomposed, profiled run:
+# rank zone reports never cross the instrumented communicator, so the
+# deterministic counters repeat byte for byte.
+"$MFC" bench --mem 0.0002 -n 2 -o "$BUILD_DIR/tier1_bench_n2_a.yml"
+"$MFC" bench --mem 0.0002 -n 2 -o "$BUILD_DIR/tier1_bench_n2_b.yml"
+sed -n '/^metrics:/,$p' "$BUILD_DIR/tier1_bench_n2_a.yml" > "$BUILD_DIR/tier1_bm_a.yml"
+sed -n '/^metrics:/,$p' "$BUILD_DIR/tier1_bench_n2_b.yml" > "$BUILD_DIR/tier1_bm_b.yml"
+[ -s "$BUILD_DIR/tier1_bm_a.yml" ] && cmp "$BUILD_DIR/tier1_bm_a.yml" "$BUILD_DIR/tier1_bm_b.yml" || {
+    echo "tier1: bench -n 2 metrics not reproducible across reruns" >&2
+    exit 1; }
 
 # Kernel microbenchmark smoke: every registered kernel must run and
 # report finite timings at a non-default simd width.
