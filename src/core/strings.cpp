@@ -3,19 +3,24 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 
 #include "core/error.hpp"
 
 namespace mfc {
 
-std::string trim(std::string_view s) {
+namespace {
+
+std::string_view trim_view(std::string_view s) {
     std::size_t b = 0;
     std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
-    return std::string(s.substr(b, e - b));
+    while (b < e && is_space(s[b])) ++b;
+    while (e > b && is_space(s[e - 1])) --e;
+    return s.substr(b, e - b);
 }
+
+} // namespace
+
+std::string trim(std::string_view s) { return std::string(trim_view(s)); }
 
 std::vector<std::string> split(std::string_view s, char sep) {
     std::vector<std::string> out;
@@ -35,9 +40,9 @@ std::vector<std::string> split_ws(std::string_view s) {
     std::vector<std::string> out;
     std::size_t i = 0;
     while (i < s.size()) {
-        while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) ++i;
+        while (i < s.size() && is_space(s[i])) ++i;
         std::size_t b = i;
-        while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) == 0) ++i;
+        while (i < s.size() && !is_space(s[i])) ++i;
         if (i > b) out.emplace_back(s.substr(b, i - b));
     }
     return out;
@@ -78,30 +83,42 @@ std::string replace_all(std::string s, std::string_view from, std::string_view t
     return s;
 }
 
+char* format_sci(char* out, double v) {
+    // to_chars is correctly rounded (ties to even) like glibc's printf in
+    // the default rounding mode, so upper-casing its "e"/"inf"/"nan"
+    // reproduces "%.16E" exactly, signs of zero and NaN included.
+    const std::to_chars_result r = std::to_chars(
+        out, out + kMaxSciChars, v, std::chars_format::scientific, 16);
+    MFC_DBG_ASSERT(r.ec == std::errc{});
+    for (char* p = out; p != r.ptr; ++p) {
+        if (*p >= 'a' && *p <= 'z') *p = static_cast<char>(*p - 'a' + 'A');
+    }
+    return r.ptr;
+}
+
 std::string format_sci(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.16E", v);
-    return std::string(buf);
+    char buf[kMaxSciChars];
+    return std::string(buf, format_sci(buf, v));
 }
 
 long long parse_int(std::string_view s) {
-    const std::string t = trim(s);
+    const std::string_view t = trim_view(s);
     long long value = 0;
     const auto [ptr, ec] =
         std::from_chars(t.data(), t.data() + t.size(), value);
     if (ec != std::errc{} || ptr != t.data() + t.size()) {
-        fail("parse_int: not an integer: '" + t + "'");
+        fail("parse_int: not an integer: '" + std::string(t) + "'");
     }
     return value;
 }
 
 double parse_double(std::string_view s) {
-    const std::string t = trim(s);
+    const std::string_view t = trim_view(s);
     double value = 0.0;
     const auto [ptr, ec] =
         std::from_chars(t.data(), t.data() + t.size(), value);
     if (ec != std::errc{} || ptr != t.data() + t.size()) {
-        fail("parse_double: not a number: '" + t + "'");
+        fail("parse_double: not a number: '" + std::string(t) + "'");
     }
     return value;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -8,6 +9,12 @@ namespace mfc {
 
 /// String helpers shared by the toolchain parsers (modules registry, YAML
 /// reader, golden files, template engine).
+
+/// The C locale's isspace set (' ', \t, \n, \v, \f, \r), without a
+/// locale lookup per character.
+[[nodiscard]] constexpr bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
 
 [[nodiscard]] std::string trim(std::string_view s);
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char sep);
@@ -24,10 +31,20 @@ namespace mfc {
 
 /// Format a double the way MFC's serial output formatter does: full
 /// round-trip precision, fixed-width scientific notation so golden files
-/// diff cleanly across systems.
+/// diff cleanly across systems. Byte for byte printf's "%.16E".
 [[nodiscard]] std::string format_sci(double v);
 
+/// Longest format_sci text: "-1.2345678901234567E+308".
+inline constexpr std::size_t kMaxSciChars = 24;
+
+/// format_sci into out[0, kMaxSciChars) without allocating; returns one
+/// past the last character written.
+char* format_sci(char* out, double v);
+
 /// Parse helpers that raise mfc::Error with context on malformed input.
+/// Surrounding whitespace is ignored; the rest must be one whole
+/// std::from_chars number (no leading '+', no hex, no trailing junk, no
+/// out-of-range magnitude).
 [[nodiscard]] long long parse_int(std::string_view s);
 [[nodiscard]] double parse_double(std::string_view s);
 

@@ -242,14 +242,33 @@ template <int W> [[nodiscard]] inline vd<W> vsqrt(vd<W> a) {
 }
 template <> [[nodiscard]] inline vd<1> vsqrt(vd<1> a) { return {std::sqrt(a.v)}; }
 
+namespace detail {
+
+/// The tail of a row after its W-wide blocks: at most one block each of
+/// BW = W/2, ..., 2, then single cells.
+template <int BW, class Block> inline void for_tail(int i, int n, Block& block) {
+    if constexpr (BW == 1) {
+        for (; i < n; ++i) block(std::integral_constant<int, 1>{}, i);
+    } else {
+        if (i + BW <= n) {
+            block(std::integral_constant<int, BW>{}, i);
+            i += BW;
+        }
+        for_tail<BW / 2>(i, n, block);
+    }
+}
+
+} // namespace detail
+
 /// Run block(integral_constant<int, BW>, i) over the cells [0, n) of a
-/// row: whole W-wide blocks first, then the remainder one cell at a time
-/// through the same template at BW = 1 — identical per-cell math, so the
-/// result does not depend on W.
+/// row: whole W-wide blocks first, then the remainder in halving blocks
+/// (n = 15 at W = 8 runs 8@0, 4@8, 2@12, 1@14) through the same template
+/// — identical per-cell math at every BW, so the result does not depend
+/// on W.
 template <int W, class Block> inline void for_blocks(int n, Block&& block) {
     int i = 0;
     for (; i + W <= n; i += W) block(std::integral_constant<int, W>{}, i);
-    for (; i < n; ++i) block(std::integral_constant<int, 1>{}, i);
+    detail::for_tail<W / 2 == 0 ? 1 : W / 2>(i, n, block);
 }
 
 /// Invoke fn with an integral_constant<int, W> for the current dispatch

@@ -83,8 +83,10 @@ void apply_boundary_conditions_dim(
             // The x-range of each (j, k) line is a unit-stride run in the
             // field (for dim == 0 it degenerates to the single ghost /
             // source column), so copy whole rows: memcpy for plain
-            // copies, a pointer walk for sign flips. Both preserve the
-            // bit pattern of the former per-cell sign * f(...) writes.
+            // copies (one assignment for the x-face's single column,
+            // not a library call per double), a pointer walk for sign
+            // flips. All preserve the bit pattern of the former per-cell
+            // sign * f(...) writes.
             const int gi = dim == 0 ? 0 : lo_i; // ghost/interior set below
             const int len = dim == 0 ? 1 : hi_i - lo_i;
             for_ghost_pairs(e, g, dim, side, type, [&](int ghost, int interior) {
@@ -99,6 +101,8 @@ void apply_boundary_conditions_dim(
                             f.ptr(dim == 0 ? interior : gi, sj, sk);
                         if (flip) {
                             for (int i = 0; i < len; ++i) gp[i] = sign * sp[i];
+                        } else if (len == 1) {
+                            *gp = *sp;
                         } else {
                             std::memcpy(gp, sp,
                                         static_cast<std::size_t>(len) *

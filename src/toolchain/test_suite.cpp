@@ -54,39 +54,47 @@ TestOutcome TestSuite::run_case(const TestCaseDef& def, TestMode mode) const {
         return out;
     }
 
-    switch (mode) {
-    case TestMode::Generate: {
-        fs::create_directories(fs::path(gpath).parent_path());
-        current.save(gpath);
-        std::ofstream meta(metadata_path(def.uuid));
-        meta << golden_metadata(def.uuid, def.trace, canonical_dict(def.params));
-        out.passed = true;
-        out.detail = "generated";
-        return out;
-    }
-    case TestMode::AddNewVariables: {
-        if (!fs::exists(gpath)) {
-            out.passed = false;
-            out.detail = "no golden file to update";
+    // A golden that cannot be written, read or parsed fails this case
+    // with the file named; it does not abort the rest of the suite.
+    try {
+        switch (mode) {
+        case TestMode::Generate: {
+            fs::create_directories(fs::path(gpath).parent_path());
+            current.save(gpath);
+            std::ofstream meta(metadata_path(def.uuid));
+            meta << golden_metadata(def.uuid, def.trace, canonical_dict(def.params));
+            out.passed = true;
+            out.detail = "generated";
             return out;
         }
-        const GoldenFile merged = add_new_variables(GoldenFile::load(gpath), current);
-        merged.save(gpath);
-        out.passed = true;
-        out.detail = "updated";
-        return out;
-    }
-    case TestMode::Compare: {
-        if (!fs::exists(gpath)) {
-            out.passed = false;
-            out.detail = "golden file missing (run with --generate first)";
+        case TestMode::AddNewVariables: {
+            if (!fs::exists(gpath)) {
+                out.passed = false;
+                out.detail = "no golden file to update";
+                return out;
+            }
+            const GoldenFile merged = add_new_variables(GoldenFile::load(gpath), current);
+            merged.save(gpath);
+            out.passed = true;
+            out.detail = "updated";
             return out;
         }
-        const CompareResult r = compare_golden(GoldenFile::load(gpath), current);
-        out.passed = r.ok;
-        out.detail = r.ok ? "pass" : r.message;
+        case TestMode::Compare: {
+            if (!fs::exists(gpath)) {
+                out.passed = false;
+                out.detail = "golden file missing (run with --generate first)";
+                return out;
+            }
+            const CompareResult r = compare_golden(GoldenFile::load(gpath), current);
+            out.passed = r.ok;
+            out.detail = r.ok ? "pass" : r.message;
+            return out;
+        }
+        }
+    } catch (const Error& e) {
+        out.passed = false;
+        out.detail = e.what();
         return out;
-    }
     }
     MFC_ASSERT(false);
 }

@@ -651,6 +651,22 @@ TEST(EnsembleEngine, NestedParallelForDegradesInline) {
     EXPECT_EQ(sum.load(), 4950);
 }
 
+// A regression job whose golden is a zero-byte file or a directory must
+// fail, naming the file, rather than compare nothing and pass.
+TEST(EnsembleEngine, EmptyOrUnreadableGoldenFailsTheJob) {
+    const std::string dir = unique_dir("mfcpp_ens_goldens_");
+    fs::create_directories(dir + "/a_directory");
+    std::ofstream(dir + "/zero_bytes").close();
+    for (const char* name : {"a_directory", "zero_bytes"}) {
+        JobSpec spec = tiny_job(JobKind::Regression, name);
+        spec.golden_path = dir + "/" + name;
+        const JobResult r = execute_job(spec);
+        EXPECT_FALSE(r.passed) << name;
+        EXPECT_NE(r.detail.find(spec.golden_path), std::string::npos) << r.detail;
+    }
+    fs::remove_all(dir);
+}
+
 // ------------------------------------------------------ bench_diff rider
 
 TEST(EnsembleBenchDiff, OldBaselinesDegradeToNa) {

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,6 +119,49 @@ TEST(Simd, DefaultWidthFollowsTheBuild) {
     if (std::getenv("MFC_SIMD_WIDTH") != nullptr) GTEST_SKIP();
     EXPECT_EQ(simd::width(), simd::register_lanes() == 8 ? 8 : 4);
     EXPECT_NE(simd::isa_label().find(" W="), std::string::npos);
+}
+
+/// The (block width, first cell) sequence for_blocks<W> runs over n cells.
+template <int W> std::vector<std::pair<int, int>> block_sequence(int n) {
+    std::vector<std::pair<int, int>> seq;
+    simd::for_blocks<W>(n, [&](auto wtag, int i) {
+        seq.emplace_back(decltype(wtag)::value, i);
+    });
+    return seq;
+}
+
+template <int W> void expect_halving_tails() {
+    for (int n = 0; n <= 40; ++n) {
+        // Whole W-wide blocks, then at most one block each of W/2, ..., 2,
+        // then single cells: the tail never drops straight to width 1.
+        std::vector<std::pair<int, int>> want;
+        int i = 0;
+        for (; i + W <= n; i += W) want.emplace_back(W, i);
+        for (int bw = W / 2; bw >= 2; bw /= 2) {
+            if (i + bw <= n) {
+                want.emplace_back(bw, i);
+                i += bw;
+            }
+        }
+        for (; i < n; ++i) want.emplace_back(1, i);
+        EXPECT_EQ(block_sequence<W>(n), want) << "W=" << W << " n=" << n;
+    }
+}
+
+TEST(Simd, ForBlocksFinishesRowsWithHalvingBlocks) {
+    expect_halving_tails<1>();
+    expect_halving_tails<2>();
+    expect_halving_tails<4>();
+    expect_halving_tails<8>();
+    using Seq = std::vector<std::pair<int, int>>;
+    EXPECT_EQ(block_sequence<8>(15), (Seq{{8, 0}, {4, 8}, {2, 12}, {1, 14}}));
+    // A std92 x-pencil's 94 WENO slots (11 x 8, 4, 2) and 93 faces
+    // (11 x 8, 4, 1) at W = 8.
+    const Seq slots = block_sequence<8>(94);
+    const Seq faces = block_sequence<8>(93);
+    EXPECT_EQ(Seq(slots.end() - 3, slots.end()), (Seq{{8, 80}, {4, 88}, {2, 92}}));
+    EXPECT_EQ(Seq(faces.end() - 3, faces.end()), (Seq{{8, 80}, {4, 88}, {1, 92}}));
+    EXPECT_EQ(block_sequence<4>(7), (Seq{{4, 0}, {2, 4}, {1, 6}}));
 }
 
 // ---------------------------------------------------------------------------

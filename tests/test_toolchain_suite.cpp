@@ -91,6 +91,36 @@ TEST_F(SuiteWorkflow, TamperedGoldenIsDetected) {
     EXPECT_FALSE(o.passed);
 }
 
+TEST_F(SuiteWorkflow, ZeroByteOrDirectoryGoldenFailsNamingTheFile) {
+    const TestSuite suite(sample_cases(), root_);
+    const TestCaseDef& def = suite.cases().front();
+    ASSERT_TRUE(suite.run_case(def, TestMode::Generate).passed);
+    const std::string gpath = suite.golden_path(def.uuid);
+
+    std::ofstream(gpath, std::ios::trunc).close();
+    TestOutcome o = suite.run_case(def, TestMode::Compare);
+    EXPECT_FALSE(o.passed);
+    EXPECT_NE(o.detail.find(gpath), std::string::npos) << o.detail;
+
+    fs::remove(gpath);
+    fs::create_directory(gpath);
+    o = suite.run_case(def, TestMode::Compare);
+    EXPECT_FALSE(o.passed);
+    EXPECT_NE(o.detail.find(gpath), std::string::npos) << o.detail;
+}
+
+TEST_F(SuiteWorkflow, GoldenWriteToAFullDeviceFails) {
+    if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    const TestSuite suite(sample_cases(), root_);
+    const TestCaseDef& def = suite.cases().front();
+    const std::string gpath = suite.golden_path(def.uuid);
+    fs::create_directories(fs::path(gpath).parent_path());
+    fs::create_symlink("/dev/full", gpath);
+    const TestOutcome o = suite.run_case(def, TestMode::Generate);
+    EXPECT_FALSE(o.passed);
+    EXPECT_NE(o.detail.find(gpath), std::string::npos) << o.detail;
+}
+
 TEST_F(SuiteWorkflow, AddNewVariablesPreservesExisting) {
     const TestSuite suite(sample_cases(), root_);
     const TestCaseDef& def = suite.cases().front();

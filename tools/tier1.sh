@@ -63,6 +63,18 @@ sed -n '/^metrics:/,$p' "$BUILD_DIR/tier1_bench_n2_b.yml" > "$BUILD_DIR/tier1_bm
     echo "tier1: bench -n 2 metrics not reproducible across reruns" >&2
     exit 1; }
 
+# Golden-reader smoke: a golden truncated to zero bytes must fail the
+# comparison (non-zero exit), not compare nothing and pass.
+GOLDEN_DIR="$BUILD_DIR/tier1_goldens"
+rm -rf "$GOLDEN_DIR"
+"$MFC" test --generate --max 1 --golden-dir "$GOLDEN_DIR"
+UUID=$("$MFC" test --list | head -n 1 | awk '{print $1}')
+: > "$GOLDEN_DIR/$UUID/golden.txt"
+if "$MFC" test -o "$UUID" --golden-dir "$GOLDEN_DIR"; then
+    echo "tier1: a zero-byte golden passed mfc test" >&2
+    exit 1
+fi
+
 # Kernel microbenchmark smoke: every registered kernel must run and
 # report finite timings at a non-default simd width.
 "$MFC" ubench --cells 512 --reps 3 --width 2 -o "$BUILD_DIR/tier1_ubench.yml"
@@ -149,13 +161,14 @@ fi
 # state-pin tests, and through the characteristic-wise WENO sweep, which
 # runs the same kernels at W = 1 — and the layout parity suite exercises
 # the direct from-field load paths and transpose tiles under the same
-# scrutiny.
+# scrutiny. The "io" label adds the golden reader's tests, whose seeded
+# mutation smoke feeds it damaged files.
 # MFCPP_SANITIZE=off skips both sanitizer legs.
 if [ "${MFCPP_SANITIZE:-undefined}" != "off" ]; then
     UBSAN_DIR="$BUILD_DIR-ubsan"
     cmake -B "$UBSAN_DIR" -S . -DMFCPP_SANITIZE=undefined
     cmake --build "$UBSAN_DIR" -j
-    (cd "$UBSAN_DIR" && ctest --output-on-failure -L 'simd|layout|telemetry')
+    (cd "$UBSAN_DIR" && ctest --output-on-failure -L 'simd|layout|telemetry|io')
 fi
 
 echo "tier1: OK"
