@@ -11,10 +11,9 @@
 
 #include <cstdio>
 
-#include "comm/cart.hpp"
 #include "core/table.hpp"
 #include "perf/scaling.hpp"
-#include "solver/simulation.hpp"
+#include "solver/launch.hpp"
 
 int main() {
     using namespace mfc;
@@ -30,32 +29,19 @@ int main() {
     for (std::size_t col = 2; col < 5; ++col) t.set_align(col, TextTable::Align::Right);
 
     for (const int ranks : {1, 2, 4, 8}) {
-        const std::array<int, 3> dims = comm::dims_create(ranks, 3);
         CaseConfig c = standardized_benchmark_case(kLocalEdge, kSteps);
+        const std::array<int, 3> dims = case_topology(c, ranks).dims;
         c.grid.cells = Extents{dims[0] * kLocalEdge, dims[1] * kLocalEdge,
                                dims[2] * kLocalEdge};
-
-        double wall = 0.0, grind = 0.0;
-        comm::World world(ranks);
-        world.run([&](comm::Communicator& comm) {
-            comm::CartComm cart(comm, dims, {false, false, false});
-            Simulation sim(c, cart);
-            sim.initialize();
-            comm.barrier();
-            sim.run();
-            comm.barrier();
-            if (comm.rank() == 0) {
-                wall = sim.wall_seconds();
-                grind = sim.grindtime();
-            }
-        });
+        const LaunchResult run = run_timed(c, {.ranks = ranks});
 
         t.add_row({std::to_string(ranks),
                    std::to_string(c.grid.cells.nx) + " x " +
                        std::to_string(c.grid.cells.ny) + " x " +
                        std::to_string(c.grid.cells.nz),
-                   format_fixed(wall, 3), format_fixed(grind, 1),
-                   format_fixed(grind * ranks, 1)});
+                   format_fixed(run.wall_s, 3),
+                   format_fixed(run.grindtime_ns, 1),
+                   format_fixed(run.grindtime_ns * ranks, 1)});
     }
     std::fputs(t.str().c_str(), stdout);
 

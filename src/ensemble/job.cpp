@@ -6,6 +6,7 @@
 #include "core/error.hpp"
 #include "post/derived.hpp"
 #include "resilience/chaos.hpp"
+#include "solver/launch.hpp"
 #include "solver/simulation.hpp"
 #include "telemetry/telemetry.hpp"
 #include "toolchain/bench_suite.hpp"
@@ -85,20 +86,17 @@ void run_simulation_job(const JobSpec& spec, JobResult& r) {
 }
 
 void run_bench_job(const JobSpec& spec, JobResult& r) {
-    // One timed repetition of a named benchmark case. The simulation is
-    // run directly (not through BenchSuite::run_case) so the campaign
-    // never toggles the global profiler state from a worker thread while
-    // other jobs hold zones open.
+    // One timed repetition of a named benchmark case. A serial launch
+    // that collects nothing touches no telemetry switch (unlike
+    // BenchSuite::run_case), so the campaign never toggles the global
+    // profiler state from a worker thread while other jobs hold zones
+    // open. One warm-up step keeps first-touch and cold caches untimed.
     const toolchain::BenchSuite suite(spec.bench_mem_gb, /*ranks=*/1);
     const CaseConfig config = suite.case_config(spec.bench_case);
-    Simulation sim(config);
-    sim.initialize();
-    sim.step(); // warm-up: first-touch and cold caches stay untimed
-    sim.reset_instrumentation();
-    sim.run();
-    r.wall_s = sim.wall_seconds();
-    r.grindtime_ns = sim.grindtime();
-    r.passed = r.wall_s > 0.0 && sim.steps_done() > config.t_step_stop;
+    const LaunchResult t = run_timed(config, {.warmup_steps = 1});
+    r.wall_s = t.wall_s;
+    r.grindtime_ns = t.grindtime_ns;
+    r.passed = r.wall_s > 0.0 && t.steps > config.t_step_stop;
     if (!r.passed) r.detail = "benchmark run did not complete";
 }
 

@@ -8,7 +8,7 @@ namespace {
 
 void split(int n, int p, int coord, int& local, int& offset) {
     MFC_REQUIRE(p >= 1 && coord >= 0 && coord < p, "decompose: bad coords");
-    MFC_REQUIRE(n >= p || n == 1, "decompose: more ranks than cells");
+    MFC_REQUIRE(n >= p, "decompose: more ranks than cells");
     const int base = n / p;
     const int extra = n % p;
     local = base + (coord < extra ? 1 : 0);

@@ -1,7 +1,6 @@
 #include "resilience/recovery.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -13,6 +12,7 @@
 #include "comm/cart.hpp"
 #include "core/hash.hpp"
 #include "core/timer.hpp"
+#include "solver/launch.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mfc::resilience {
@@ -167,17 +167,7 @@ RecoveryStats ResilientRunner::run(FaultInjector* injector) {
                                         std::max(1, patience_ms / 100));
     }
 
-    int ndims = 1;
-    if (config_.grid.cells.ny > 1)
-        ndims = 2;
-    if (config_.grid.cells.nz > 1)
-        ndims = 3;
-    const std::array<int, 3> dims = comm::dims_create(options_.ranks, ndims);
-    std::array<bool, 3> periodic{};
-    for (int d = 0; d < 3; ++d) {
-        periodic[static_cast<std::size_t>(d)] =
-            config_.bc[static_cast<std::size_t>(d)][0] == BcType::Periodic;
-    }
+    const CaseTopology topo = case_topology(config_, options_.ranks);
 
     const auto slot_of = [interval](int step) {
         return interval > 0 ? (step / interval) % 2 : 0;
@@ -218,7 +208,7 @@ RecoveryStats ResilientRunner::run(FaultInjector* injector) {
         try {
             world.run([&](comm::Communicator& comm) {
                 const int rank = comm.rank();
-                comm::CartComm cart(comm, dims, periodic);
+                comm::CartComm cart(comm, topo.dims, topo.periodic);
                 Simulation sim(config_, cart);
                 sim.initialize();
                 const int base = committed_step.load();

@@ -81,6 +81,24 @@ void set_tracing(bool on);
 /// snapshot or zone report before and after, and subtract.
 void reset();
 
+/// Scoped setting of one switch (enabled/set_enabled, armed/set_armed)
+/// that restores the previous state on exit, so a measurement inside an
+/// application that profiles (or not) leaves the switch as it found it.
+class SwitchScope {
+public:
+    SwitchScope(bool (*get)(), void (*set)(bool), bool on)
+        : set_(set), prev_(get()) {
+        set(on);
+    }
+    SwitchScope(const SwitchScope&) = delete;
+    SwitchScope& operator=(const SwitchScope&) = delete;
+    ~SwitchScope() { set_(prev_); }
+
+private:
+    void (*set_)(bool);
+    bool prev_;
+};
+
 /// The runtime's monotonic clock (zone timing, Timing-class metrics,
 /// manual segment timing for add_child_ns).
 [[nodiscard]] inline std::int64_t clock_ns() {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
@@ -12,13 +11,12 @@
 
 #include <unistd.h>
 
-#include "comm/cart.hpp"
 #include "core/error.hpp"
 #include "exec/exec.hpp"
 #include "perf/ubench.hpp"
 #include "resilience/chaos.hpp"
 #include "simd/simd.hpp"
-#include "solver/simulation.hpp"
+#include "solver/launch.hpp"
 #include "telemetry/report.hpp"
 
 namespace mfc::toolchain {
@@ -36,24 +34,6 @@ int edge_from_memory(double mem_gb, int num_eqns) {
     return std::max(edge, 8);
 }
 
-/// Scoped setting of one telemetry switch (zones enabled, metrics armed)
-/// that restores the previous state, so benchmarking inside an
-/// application that profiles (or not) is neutral.
-class SwitchScope {
-public:
-    SwitchScope(bool (*get)(), void (*set)(bool), bool on)
-        : set_(set), prev_(get()) {
-        set(on);
-    }
-    SwitchScope(const SwitchScope&) = delete;
-    SwitchScope& operator=(const SwitchScope&) = delete;
-    ~SwitchScope() { set_(prev_); }
-
-private:
-    void (*set_)(bool);
-    bool prev_;
-};
-
 } // namespace
 
 BenchSuite::BenchSuite(double mem_per_rank_gb, int ranks, BenchOptions options)
@@ -62,11 +42,7 @@ BenchSuite::BenchSuite(double mem_per_rank_gb, int ranks, BenchOptions options)
     MFC_REQUIRE(ranks >= 1, "bench: -n must be positive");
     MFC_REQUIRE(options_.warmup_steps >= 0,
                 "bench: warm-up steps must be non-negative");
-    MFC_REQUIRE(!options_.thread_counts.empty(),
-                "bench: --threads needs at least one count");
-    for (const int t : options_.thread_counts) {
-        MFC_REQUIRE(t >= 1, "bench: thread counts must be positive");
-    }
+    MFC_REQUIRE(options_.threads >= 1, "bench: --threads must be positive");
     for (const auto& [r, t] : options_.rank_thread_grid) {
         MFC_REQUIRE(r >= 1 && t >= 1,
                     "bench: --ranks-threads entries must be positive RxT");
@@ -165,108 +141,21 @@ BenchCaseResult BenchSuite::run_case(const std::string& name) const {
     // Phases are the zones entered during the timed run: a before/after
     // zone-report delta. Nothing is reset, so the suite-wide metrics
     // window run_all() holds stays intact.
-    const bool profile = options_.profile;
-    const SwitchScope zones(telemetry::enabled, telemetry::set_enabled,
-                            profile);
-
-    if (ranks_ == 1) {
-        Simulation sim(config);
-        sim.initialize();
-        // Warm-up: pay cold-cache/first-touch cost outside the timing.
-        for (int s = 0; s < options_.warmup_steps; ++s) sim.step();
-        sim.reset_instrumentation();
-        const telemetry::Report before =
-            profile ? telemetry::zone_report() : telemetry::Report{};
-        sim.run();
-        r.wall_s = sim.wall_seconds();
-        r.grindtime_ns = sim.grindtime();
-        if (profile) {
-            // Merged across threads: worker-side kernel zones (per-thread
-            // attribution of the pencil sweeps) fold into the main
-            // thread's tree.
-            r.phases = telemetry::grind_decomposition(
-                           telemetry::delta(before, telemetry::zone_report()),
-                           r.cells, r.eqns, sim.rhs_evals())
-                           .phases;
-        }
-        return r;
-    }
-
-    // Decomposed execution through simMPI; rank 0 reports timing, and
-    // every rank stores its own window's zones for the cross-rank
-    // min/mean/max reduction after the join.
-    std::vector<telemetry::Report> windows(static_cast<std::size_t>(ranks_));
-    long long evals = 0;
-    const int warmup = options_.warmup_steps;
-    comm::World world(ranks_);
-    world.run([&](comm::Communicator& comm) {
-        const std::array<int, 3> dims = comm::dims_create(ranks_, 3);
-        std::array<bool, 3> periodic{};
-        for (int d = 0; d < 3; ++d) {
-            periodic[static_cast<std::size_t>(d)] =
-                config.bc[static_cast<std::size_t>(d)][0] == BcType::Periodic;
-        }
-        comm::CartComm cart(comm, dims, periodic);
-        Simulation sim(config, cart);
-        sim.initialize();
-        for (int s = 0; s < warmup; ++s) sim.step();
-        sim.reset_instrumentation();
-        comm.barrier(); // start the timed run together
-        const telemetry::Report before =
-            profile ? telemetry::thread_zone_report() : telemetry::Report{};
-        sim.run();
-        if (profile) {
-            windows[static_cast<std::size_t>(comm.rank())] =
-                telemetry::delta(before, telemetry::thread_zone_report());
-        }
-        if (comm.rank() == 0) {
-            r.wall_s = sim.wall_seconds();
-            r.grindtime_ns = sim.grindtime();
-            evals = sim.rhs_evals();
-        }
-    });
-    if (profile) {
-        r.phases = telemetry::grind_decomposition(
-                       telemetry::reduce_ranks(windows), r.cells, r.eqns,
-                       evals)
+    const telemetry::SwitchScope zones(telemetry::enabled,
+                                       telemetry::set_enabled,
+                                       options_.profile);
+    const LaunchResult t =
+        run_timed(config, {.ranks = ranks_,
+                           .warmup_steps = options_.warmup_steps,
+                           .zones = options_.profile});
+    r.wall_s = t.wall_s;
+    r.grindtime_ns = t.grindtime_ns;
+    if (options_.profile) {
+        r.phases = telemetry::grind_decomposition(t.zones, r.cells, r.eqns,
+                                                  t.rhs_evals)
                        .phases;
     }
     return r;
-}
-
-double BenchSuite::sweep_case_grind(const CaseConfig& config,
-                                    int nranks) const {
-    // Pure timing run: no profiling, no phase reduction — the sweep is
-    // about one number per (R, T, case) cell.
-    const SwitchScope zones(telemetry::enabled, telemetry::set_enabled, false);
-    const int warmup = options_.warmup_steps;
-    if (nranks == 1) {
-        Simulation sim(config);
-        sim.initialize();
-        for (int s = 0; s < warmup; ++s) sim.step();
-        sim.reset_instrumentation();
-        sim.run();
-        return sim.grindtime();
-    }
-    double grind = 0.0;
-    comm::World world(nranks);
-    world.run([&](comm::Communicator& comm) {
-        const std::array<int, 3> dims = comm::dims_create(nranks, 3);
-        std::array<bool, 3> periodic{};
-        for (int d = 0; d < 3; ++d) {
-            periodic[static_cast<std::size_t>(d)] =
-                config.bc[static_cast<std::size_t>(d)][0] == BcType::Periodic;
-        }
-        comm::CartComm cart(comm, dims, periodic);
-        Simulation sim(config, cart);
-        sim.initialize();
-        for (int s = 0; s < warmup; ++s) sim.step();
-        sim.reset_instrumentation();
-        comm.barrier();
-        sim.run();
-        if (comm.rank() == 0) grind = sim.grindtime();
-    });
-    return grind;
 }
 
 BenchSuite::OverlapCaseResult
@@ -275,76 +164,33 @@ BenchSuite::run_overlap_case(const std::string& name) const {
     // Overlap only exists where halos do: run on at least two ranks even
     // when the suite itself is serial, so the section is never vacuous.
     const int nranks = std::max(2, ranks_);
-    const int warmup = options_.warmup_steps;
-    const SwitchScope zones(telemetry::enabled, telemetry::set_enabled, false);
-    const SwitchScope metrics(telemetry::armed, telemetry::set_armed, true);
-
-    // One decomposed run; returns rank 0's grindtime, the
-    // decomposition-invariant global state hash, and (overlap runs) the
-    // scheduler communication exposure read from the telemetry registry.
-    // Ranks are threads of this process, so the registry delta over the
-    // run window already is the all-rank sum the old per-rank allreduce
-    // computed.
-    struct RunResult {
-        double grind_ns = 0.0;
-        std::uint64_t hash = 0;
-        double in_flight_ns = 0.0;
-        double exposed_ns = 0.0;
-    };
+    const telemetry::SwitchScope zones(telemetry::enabled,
+                                       telemetry::set_enabled, false);
+    // Each run reports rank 0's grindtime, the decomposition-invariant
+    // global state hash, and the registry delta after warm-up, which
+    // holds the scheduler's communication exposure.
     const auto measure = [&](bool overlap) {
-        RunResult res;
-        telemetry::Snapshot before;
-        comm::World world(nranks);
-        world.run([&](comm::Communicator& comm) {
-            const std::array<int, 3> dims = comm::dims_create(nranks, 3);
-            std::array<bool, 3> periodic{};
-            for (int d = 0; d < 3; ++d) {
-                periodic[static_cast<std::size_t>(d)] =
-                    config.bc[static_cast<std::size_t>(d)][0] ==
-                    BcType::Periodic;
-            }
-            comm::CartComm cart(comm, dims, periodic);
-            Simulation sim(config, cart);
-            sim.set_overlap(overlap);
-            sim.initialize();
-            for (int s = 0; s < warmup; ++s) sim.step();
-            sim.reset_instrumentation();
-            // Keep the warm-up out of the measured registry window:
-            // barriers guarantee every rank is done warming before rank 0
-            // snapshots, and none starts the timed run before it has.
-            comm.barrier();
-            if (comm.rank() == 0) before = telemetry::snapshot();
-            comm.barrier();
-            sim.run();
-            const std::uint64_t mine = sim.global_state_hash();
-            if (comm.rank() == 0) {
-                res.hash = mine;
-                res.grind_ns = sim.grindtime();
-            }
-        });
-        if (overlap) {
-            const telemetry::Snapshot d =
-                telemetry::delta(before, telemetry::snapshot());
-            res.in_flight_ns =
-                static_cast<double>(d.value("sched.comm_in_flight_ns"));
-            res.exposed_ns =
-                static_cast<double>(d.value("sched.comm_exposed_ns"));
-        }
-        return res;
+        return run_timed(config, {.ranks = nranks,
+                                  .warmup_steps = options_.warmup_steps,
+                                  .overlap = overlap,
+                                  .hash = true,
+                                  .metrics = true});
     };
-
-    const RunResult sync = measure(false);
-    const RunResult over = measure(true);
+    const LaunchResult sync = measure(false);
+    const LaunchResult over = measure(true);
+    const double in_flight_ns =
+        static_cast<double>(over.metrics.value("sched.comm_in_flight_ns"));
+    const double exposed_ns =
+        static_cast<double>(over.metrics.value("sched.comm_exposed_ns"));
     OverlapCaseResult out;
-    out.grind_sync_ns = sync.grind_ns;
-    out.grind_overlap_ns = over.grind_ns;
-    out.in_flight_ms = over.in_flight_ns * 1.0e-6;
+    out.grind_sync_ns = sync.grindtime_ns;
+    out.grind_overlap_ns = over.grindtime_ns;
+    out.in_flight_ms = in_flight_ns * 1.0e-6;
     out.overlap_ratio =
-        over.in_flight_ns > 0.0
-            ? std::max(0.0, over.in_flight_ns - over.exposed_ns) /
-                  over.in_flight_ns
+        in_flight_ns > 0.0
+            ? std::max(0.0, in_flight_ns - exposed_ns) / in_flight_ns
             : 0.0;
-    out.hash_match = sync.hash == over.hash;
+    out.hash_match = sync.state_hash == over.state_hash;
     return out;
 }
 
@@ -379,7 +225,8 @@ std::string build_flags() {
 Yaml BenchSuite::run_all(const std::string& invocation) const {
     // The whole suite runs with the registry armed; the summary's
     // canonical `metrics:` section is the delta over the suite window.
-    const SwitchScope metrics(telemetry::armed, telemetry::set_armed, true);
+    const telemetry::SwitchScope metrics(telemetry::armed,
+                                         telemetry::set_armed, true);
     const telemetry::Snapshot suite_before = telemetry::snapshot();
 
     Yaml root;
@@ -392,7 +239,7 @@ Yaml BenchSuite::run_all(const std::string& invocation) const {
     // build that produced them, so two summaries handed to bench_diff
     // are comparable (or visibly not).
     root["metadata"]["threads"].set(
-        Value(static_cast<long long>(options_.thread_counts.front())));
+        Value(static_cast<long long>(options_.threads)));
     root["metadata"]["hostname"].set(Value(host_name()));
     root["metadata"]["compiler"].set(Value(compiler_id()));
     root["metadata"]["flags"].set(Value(build_flags()));
@@ -407,7 +254,10 @@ Yaml BenchSuite::run_all(const std::string& invocation) const {
         exec::partition() == exec::Partition::Steal ? "steal" : "static")));
 
     const int prev_threads = exec::num_threads();
-    const auto emit_case = [](Yaml& node, const BenchCaseResult& r) {
+    exec::set_num_threads(options_.threads);
+    for (const std::string& name : case_names()) {
+        const BenchCaseResult r = run_case(name);
+        Yaml& node = root["cases"][name];
         node["walltime_s"].set(Value(r.wall_s));
         node["grindtime_ns"].set(Value(r.grindtime_ns));
         node["cells"].set(Value(r.cells));
@@ -426,18 +276,6 @@ Yaml BenchSuite::run_all(const std::string& invocation) const {
                 }
             }
         }
-    };
-
-    for (std::size_t ti = 0; ti < options_.thread_counts.size(); ++ti) {
-        const int nthreads = options_.thread_counts[ti];
-        exec::set_num_threads(nthreads);
-        for (const std::string& name : case_names()) {
-            const BenchCaseResult r = run_case(name);
-            Yaml& node =
-                ti == 0 ? root["cases"][name]
-                        : root["thread_sweep"][std::to_string(nthreads)][name];
-            emit_case(node, r);
-        }
     }
     exec::set_num_threads(prev_threads);
     if (!options_.rank_thread_grid.empty()) {
@@ -455,13 +293,19 @@ Yaml BenchSuite::run_all(const std::string& invocation) const {
             int threads = 1;
         };
         std::map<std::string, Best> best;
+        // Pure timing runs: one number per (R, T, case) cell.
+        const telemetry::SwitchScope zones(telemetry::enabled,
+                                           telemetry::set_enabled, false);
         for (const auto& [nranks, nthreads] : options_.rank_thread_grid) {
             exec::set_num_threads(nthreads);
             const std::string combo =
                 "r" + std::to_string(nranks) + "xt" + std::to_string(nthreads);
             for (const std::string& name : case_names()) {
                 const double g =
-                    sweep_case_grind(case_config_sized(name, 1), nranks);
+                    run_timed(case_config_sized(name, 1),
+                              {.ranks = nranks,
+                               .warmup_steps = options_.warmup_steps})
+                        .grindtime_ns;
                 sweep["combos"][combo][name]["grindtime_ns"].set(Value(g));
                 Best& b = best[name];
                 if (g > 0.0 && g < b.grind_ns) {

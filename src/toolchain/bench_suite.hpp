@@ -39,11 +39,9 @@ struct BenchOptions {
     /// `resilience:` section of the YAML summary, so fault-tolerance
     /// behavior can be compared across builds with bench_diff.
     int chaos_trials = 0;
-    /// Worker-thread counts to run (--threads, e.g. "1,4"). The first
-    /// count is the primary measurement (the `cases:` section, so
-    /// bench_diff compares like against like); additional counts rerun
-    /// the suite and land in a `thread_sweep:` section.
-    std::vector<int> thread_counts = {1};
+    /// Worker threads per rank for the `cases:` section (--threads).
+    /// Thread scaling is the 1xT rows of `rank_thread_grid`.
+    int threads = 1;
     /// Rerun every case through the task-graph overlap scheduler
     /// (src/sched) as well as the synchronous path and emit an `overlap:`
     /// section: grindtime with and without --overlap, the measured
@@ -71,8 +69,8 @@ struct BenchOptions {
 /// The automated benchmark suite (Section 5): five cases covering the
 /// most commonly used features, each sized from a memory-per-rank target
 /// and scalable to any rank count, with results summarized in a single
-/// YAML file. Executed for real on this host — serially for one rank,
-/// through simMPI threads otherwise.
+/// YAML file. Executed for real on this host through run_timed() —
+/// serially for one rank, through simMPI threads otherwise.
 class BenchSuite {
 public:
     /// `mem_per_rank_gb` is the --mem argument (Table 2): approximate
@@ -108,10 +106,6 @@ private:
     /// decomposition from ranks=1 so grindtimes stay comparable).
     [[nodiscard]] CaseConfig case_config_sized(const std::string& name,
                                                int ranks) const;
-    /// One unprofiled timing run of `config` decomposed over `nranks`;
-    /// returns rank 0's grindtime. Used by the rank_thread_sweep.
-    [[nodiscard]] double sweep_case_grind(const CaseConfig& config,
-                                          int nranks) const;
 
     double mem_gb_;
     int ranks_;

@@ -1,0 +1,10 @@
+# An unknown flag fails the verb with an error that names it, instead of
+# silently eating the next token as its value.
+execute_process(COMMAND ${MFC} run ${CASE} --rnaks 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "mfc run accepted the unknown flag --rnaks")
+endif()
+if(NOT err MATCHES "--rnaks")
+  message(FATAL_ERROR "mfc run failed without naming --rnaks: ${err}")
+endif()

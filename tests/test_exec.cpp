@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -10,6 +9,7 @@
 #include "comm/cart.hpp"
 #include "comm/comm.hpp"
 #include "exec/exec.hpp"
+#include "solver/launch.hpp"
 #include "solver/simulation.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -362,14 +362,11 @@ CaseConfig hybrid_case() {
 std::uint64_t hybrid_hash(const CaseConfig& c, int ranks, int threads,
                           bool overlap) {
     ThreadScope scope(threads);
-    const std::array<bool, 3> periodic = {c.bc[0][0] == BcType::Periodic,
-                                          c.bc[1][0] == BcType::Periodic,
-                                          c.bc[2][0] == BcType::Periodic};
+    const CaseTopology topo = case_topology(c, ranks);
     std::uint64_t h = 0;
     comm::World world(ranks);
     world.run([&](comm::Communicator& comm) {
-        const std::array<int, 3> dims = comm::dims_create(ranks, 2);
-        comm::CartComm cart(comm, dims, periodic);
+        comm::CartComm cart(comm, topo.dims, topo.periodic);
         Simulation sim(c, cart);
         sim.set_overlap(overlap);
         sim.initialize();

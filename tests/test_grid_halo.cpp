@@ -76,6 +76,8 @@ TEST(Decompose, BlocksTileTheGlobalGrid) {
 
 TEST(Decompose, MoreRanksThanCellsThrows) {
     EXPECT_THROW((void)decompose(Extents{4, 1, 1}, {5, 1, 1}, {0, 0, 0}), Error);
+    // Splitting an axis of one cell would leave this rank an empty block.
+    EXPECT_THROW((void)decompose(Extents{32, 32, 1}, {1, 1, 2}, {0, 0, 1}), Error);
 }
 
 // --- storage layout ----------------------------------------------------

@@ -1,4 +1,3 @@
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -10,6 +9,7 @@
 #include "exec/exec.hpp"
 #include "simd/simd.hpp"
 #include "solver/case_config.hpp"
+#include "solver/launch.hpp"
 #include "solver/simulation.hpp"
 
 namespace mfc {
@@ -138,13 +138,10 @@ std::vector<std::uint64_t> decomposed_hashes(const CaseConfig& c, int nranks,
                                              bool overlap, bool padded) {
     PaddingGuard guard(padded);
     std::vector<std::uint64_t> hashes(static_cast<std::size_t>(nranks), 0);
-    const std::array<bool, 3> periodic = {c.bc[0][0] == BcType::Periodic,
-                                          c.bc[1][0] == BcType::Periodic,
-                                          c.bc[2][0] == BcType::Periodic};
+    const CaseTopology topo = case_topology(c, nranks);
     comm::World world(nranks);
     world.run([&](comm::Communicator& comm) {
-        const std::array<int, 3> dims = comm::dims_create(nranks, /*ndims=*/3);
-        comm::CartComm cart(comm, dims, periodic);
+        comm::CartComm cart(comm, topo.dims, topo.periodic);
         Simulation sim(c, cart);
         sim.set_overlap(overlap);
         sim.initialize();

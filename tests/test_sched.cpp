@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -14,6 +13,7 @@
 #include "exec/exec.hpp"
 #include "resilience/fault.hpp"
 #include "sched/sched.hpp"
+#include "solver/launch.hpp"
 #include "solver/simulation.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -223,15 +223,12 @@ CaseConfig overlap_case_3d(int steps) {
 /// through World + CartComm so the overlap and sync runs see identical
 /// decompositions).
 std::vector<std::uint64_t> decomposed_hashes(const CaseConfig& c, int nranks,
-                                             int ndims, bool overlap) {
+                                             bool overlap) {
     std::vector<std::uint64_t> hashes(static_cast<std::size_t>(nranks), 0);
-    const std::array<bool, 3> periodic = {c.bc[0][0] == BcType::Periodic,
-                                          c.bc[1][0] == BcType::Periodic,
-                                          c.bc[2][0] == BcType::Periodic};
+    const CaseTopology topo = case_topology(c, nranks);
     comm::World world(nranks);
     world.run([&](comm::Communicator& comm) {
-        const std::array<int, 3> dims = comm::dims_create(nranks, ndims);
-        comm::CartComm cart(comm, dims, periodic);
+        comm::CartComm cart(comm, topo.dims, topo.periodic);
         Simulation sim(c, cart);
         sim.set_overlap(overlap);
         sim.initialize();
@@ -243,12 +240,12 @@ std::vector<std::uint64_t> decomposed_hashes(const CaseConfig& c, int nranks,
 
 /// The acceptance sweep: overlap must be bitwise-identical to the
 /// synchronous path at every rank and thread count.
-void expect_overlap_parity(const CaseConfig& c, int ndims) {
+void expect_overlap_parity(const CaseConfig& c) {
     for (const int nranks : {1, 2, 4}) {
         for (const int threads : {1, 4}) {
             exec::set_num_threads(threads);
-            const auto sync_h = decomposed_hashes(c, nranks, ndims, false);
-            const auto over_h = decomposed_hashes(c, nranks, ndims, true);
+            const auto sync_h = decomposed_hashes(c, nranks, false);
+            const auto over_h = decomposed_hashes(c, nranks, true);
             exec::set_num_threads(1);
             ASSERT_EQ(sync_h.size(), over_h.size());
             for (std::size_t r = 0; r < sync_h.size(); ++r) {
@@ -261,13 +258,13 @@ void expect_overlap_parity(const CaseConfig& c, int ndims) {
 }
 
 TEST(OverlapParity, PeriodicFiveEquation) {
-    expect_overlap_parity(overlap_case_2d(6), 2);
+    expect_overlap_parity(overlap_case_2d(6));
 }
 
 TEST(OverlapParity, ExtrapolationBoundaries) {
     CaseConfig c = overlap_case_2d(6);
     for (auto& b : c.bc) b = {BcType::Extrapolation, BcType::Extrapolation};
-    expect_overlap_parity(c, 2);
+    expect_overlap_parity(c);
 }
 
 TEST(OverlapParity, ViscousCrossDerivatives) {
@@ -277,23 +274,23 @@ TEST(OverlapParity, ViscousCrossDerivatives) {
     c.viscous = true;
     c.viscosity = {0.02, 0.01};
     for (auto& b : c.bc) b = {BcType::Extrapolation, BcType::Extrapolation};
-    expect_overlap_parity(c, 2);
+    expect_overlap_parity(c);
 }
 
 TEST(OverlapParity, IgrSigmaJoinsTheGraph) {
     CaseConfig c = overlap_case_2d(5);
     c.igr.enabled = true;
-    expect_overlap_parity(c, 2);
+    expect_overlap_parity(c);
 }
 
 TEST(OverlapParity, SixEquationModel) {
     CaseConfig c = overlap_case_2d(5);
     c.model = ModelKind::SixEquation;
-    expect_overlap_parity(c, 2);
+    expect_overlap_parity(c);
 }
 
 TEST(OverlapParity, ThreeDimensional) {
-    expect_overlap_parity(overlap_case_3d(3), 3);
+    expect_overlap_parity(overlap_case_3d(3));
 }
 
 TEST(OverlapParity, SerialBlockMatchesSyncPath) {

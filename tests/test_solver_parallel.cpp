@@ -5,7 +5,10 @@
 #include <mutex>
 
 #include "comm/cart.hpp"
+#include "exec/exec.hpp"
+#include "solver/launch.hpp"
 #include "solver/simulation.hpp"
+#include "toolchain/case_io.hpp"
 
 namespace mfc {
 namespace {
@@ -268,6 +271,88 @@ TEST(Parallel, ThreeDimensionalEightRanks) {
         const auto [i, j, k] = idx;
         EXPECT_NEAR(v, serial.state().eq(lay.energy())(i, j, k),
                     1e-11 * (1.0 + std::abs(v)));
+    }
+}
+
+// --- the case launcher -------------------------------------------------
+
+/// tests/data/sod.case: a 1D case with extrapolation ends.
+CaseConfig sod_case() {
+    return config_from_dict(toolchain::parse_case_text(R"(
+model_eqns   = euler
+num_fluids   = 1
+nx           = 100
+dt           = 1e-3
+t_step_stop  = 50
+bc_x_beg     = -3
+bc_x_end     = -3
+num_patches  = 2
+patch1_geometry   = domain
+patch1_alpha_rho1 = 0.125
+patch1_pressure   = 0.1
+patch2_geometry   = halfspace
+patch2_position   = 0.5
+patch2_alpha_rho1 = 1.0
+patch2_pressure   = 1.0
+)"));
+}
+
+TEST(Launch, TopologySpreadsRanksOverActiveAxesOnly) {
+    CaseConfig c1 = sod_case();
+    CaseConfig c2 = small_case_2d(1);
+    c2.bc[1] = {BcType::Reflective, BcType::Reflective};
+    CaseConfig c3 = standardized_benchmark_case(12, 1);
+    c3.bc[0] = {BcType::Periodic, BcType::Periodic};
+    for (const CaseConfig* c : {&c1, &c2, &c3}) {
+        const int active = c->grid.dims();
+        for (const int ranks : {1, 2, 3, 4, 8}) {
+            const CaseTopology t = case_topology(*c, ranks);
+            EXPECT_EQ(t.dims[0] * t.dims[1] * t.dims[2], ranks);
+            for (int d = active; d < 3; ++d) {
+                EXPECT_EQ(t.dims[static_cast<std::size_t>(d)], 1)
+                    << active << "D case, " << ranks << " ranks, axis " << d;
+            }
+            if (active == 3) {
+                EXPECT_EQ(t.dims, comm::dims_create(ranks, 3));
+            }
+            for (std::size_t d = 0; d < 3; ++d) {
+                EXPECT_EQ(t.periodic[d], c->bc[d][0] == BcType::Periodic);
+            }
+        }
+    }
+}
+
+TEST(Launch, TimedRunHashIsTheSameAtEveryRanksByThreads) {
+    for (const CaseConfig& c : {sod_case(), small_case_2d(4),
+                                standardized_benchmark_case(12, 3)}) {
+        std::vector<std::uint64_t> hashes;
+        for (const auto& [ranks, threads] :
+             {std::pair{1, 1}, std::pair{2, 1}, std::pair{2, 2},
+              std::pair{4, 1}}) {
+            exec::set_num_threads(threads);
+            const LaunchResult r =
+                run_timed(c, {.ranks = ranks, .warmup_steps = 1, .hash = true});
+            exec::set_num_threads(1);
+            EXPECT_GT(r.wall_s, 0.0);
+            EXPECT_EQ(r.steps, 1 + c.t_step_stop);
+            hashes.push_back(r.state_hash);
+        }
+        for (const std::uint64_t h : hashes) EXPECT_EQ(h, hashes.front());
+    }
+}
+
+TEST(Launch, WarmupStaysOutOfTheWindow) {
+    const telemetry::SwitchScope zones(telemetry::enabled,
+                                       telemetry::set_enabled, true);
+    const CaseConfig c = small_case_2d(3);
+    for (const int ranks : {1, 2}) {
+        const LaunchResult r =
+            run_timed(c, {.ranks = ranks, .warmup_steps = 2, .zones = true});
+        const telemetry::ZoneStats* step = r.zones.find("step");
+        ASSERT_NE(step, nullptr);
+        // The cross-rank view sums calls over ranks.
+        EXPECT_EQ(step->calls, ranks * c.t_step_stop) << ranks << " ranks";
+        EXPECT_EQ(r.steps, 2 + c.t_step_stop);
     }
 }
 

@@ -5,7 +5,7 @@
 //   mfc tools                                  list the tools (Table 1)
 //   mfc load -c <system> -m <cpu|gpu>          modules + environment plan
 //   mfc build -c <sys> -m <cpu|gpu> [--gpu acc|mp] [--case-optimization]
-//   mfc test [--list] [--generate|--add-new-variables|--compare]
+//   mfc test [--list] [--generate|--add-new-variables]
 //            [-o <UUID>]... [--golden-dir <dir>] [--max <n>]
 //   mfc bench --mem <gb/rank> -n <ranks> [-o <out.yml>]
 //   mfc bench_diff <ref.yml> <new.yml>
@@ -16,6 +16,7 @@
 //
 // Every subcommand accepts --help.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -25,7 +26,6 @@
 
 #include <filesystem>
 
-#include "comm/cart.hpp"
 #include "core/error.hpp"
 #include "core/strings.hpp"
 #include "core/table.hpp"
@@ -38,7 +38,7 @@
 #include "simd/simd.hpp"
 #include "resilience/chaos.hpp"
 #include "solver/case_config.hpp"
-#include "solver/simulation.hpp"
+#include "solver/launch.hpp"
 #include "telemetry/report.hpp"
 #include "toolchain/case_io.hpp"
 #include "toolchain/toolchain.hpp"
@@ -48,20 +48,28 @@ namespace {
 using namespace mfc;
 using namespace mfc::toolchain;
 
-/// Tiny flag parser: --name value / --name (bool) / positionals.
+/// Flag parser for one verb: `--name value` for the verb's value flags,
+/// `--name` for its switches (and --help), positionals otherwise. Any
+/// other flag is an error that names it.
 class Args {
 public:
-    Args(int argc, char** argv, std::vector<std::string> bool_flags)
-        : bool_flags_(std::move(bool_flags)) {
+    Args(int argc, char** argv, const std::vector<std::string>& values,
+         const std::vector<std::string>& switches) {
+        const auto listed = [](const std::vector<std::string>& names,
+                               const std::string& name) {
+            return std::find(names.begin(), names.end(), name) != names.end();
+        };
         for (int i = 0; i < argc; ++i) {
             const std::string a = argv[i];
             if (a.rfind("--", 0) == 0 || (a.size() == 2 && a[0] == '-')) {
-                const std::string name = a.substr(a.find_first_not_of('-'));
-                if (is_bool(name)) {
+                const std::string name = a.substr(a[1] == '-' ? 2 : 1);
+                if (name == "help" || listed(switches, name)) {
                     flags_[name] = "1";
-                } else {
+                } else if (listed(values, name)) {
                     MFC_REQUIRE(i + 1 < argc, "missing value for " + a);
                     flags_[name] = argv[++i];
+                } else {
+                    fail("unknown flag " + a);
                 }
             } else {
                 positional_.push_back(a);
@@ -82,13 +90,6 @@ public:
     }
 
 private:
-    [[nodiscard]] bool is_bool(const std::string& name) const {
-        for (const auto& b : bool_flags_) {
-            if (b == name) return true;
-        }
-        return false;
-    }
-    std::vector<std::string> bool_flags_;
     std::map<std::string, std::string> flags_;
     std::vector<std::string> positional_;
 };
@@ -176,10 +177,7 @@ int cmd_bench(const Args& args) {
     if (args.has("help")) {
         std::printf("mfc bench --mem <gb/rank> -n <ranks> [-o <out.yml>]\n"
                     "          [--warmup <steps>] [--no-profile]\n"
-                    "          [--threads <n[,n...]>]  worker-thread sweep;\n"
-                    "                              the first count fills\n"
-                    "                              cases:, the rest land in\n"
-                    "                              thread_sweep:\n"
+                    "          [--threads <n>]     worker threads per rank\n"
                     "          [--chaos <trials>]  add a resilience: section\n"
                     "                              from a chaos campaign\n"
                     "          [--overlap]         add an overlap: section\n"
@@ -212,12 +210,7 @@ int cmd_bench(const Args& args) {
     options.chaos_trials = static_cast<int>(parse_int(args.get("chaos", "0")));
     options.overlap = args.has("overlap");
     options.timing = args.has("timing");
-    if (args.has("threads")) {
-        options.thread_counts.clear();
-        for (const std::string& t : split(args.get("threads"), ',')) {
-            options.thread_counts.push_back(static_cast<int>(parse_int(t)));
-        }
-    }
+    options.threads = static_cast<int>(parse_int(args.get("threads", "1")));
     if (args.has("ranks-threads")) {
         const std::string spec = args.get("ranks-threads");
         if (spec == "auto") {
@@ -437,7 +430,8 @@ int cmd_run(const Args& args) {
         std::printf(
             "mfc run <case-file> [--out <golden.txt>] [--threads <n>]\n"
             "        [--ranks <r>] [--overlap] [--hash] [--metrics <f.yml>]\n\n"
-            "  --ranks <r>   decomposed run through simMPI (default: serial)\n"
+            "  --ranks <r>   decomposed run through simMPI over the case's\n"
+            "                active axes (default 1: the serial solver)\n"
             "  --threads <t> worker threads per rank; with --ranks R the\n"
             "                process runs R disjoint teams of T threads each\n"
             "                (hybrid mode, bitwise-identical to serial for\n"
@@ -447,8 +441,9 @@ int cmd_run(const Args& args) {
             "                nonblocking and interior sweeps run while they\n"
             "                are in flight; bitwise-identical to the\n"
             "                synchronous path\n"
-            "  --hash        print the FNV-1a state hash (combined across\n"
-            "                ranks in rank order) instead of golden output\n"
+            "  --hash        print the FNV-1a hash of the global state\n"
+            "                (the same for every --ranks/--threads) instead\n"
+            "                of golden output\n"
             "  --metrics <f> write the deterministic telemetry counters of\n"
             "                the run to <f> (byte-identical across reruns\n"
             "                and thread counts)\n");
@@ -459,67 +454,29 @@ int cmd_run(const Args& args) {
     }
     if (args.has("ranks") || args.has("overlap") || args.has("hash") ||
         args.has("metrics")) {
-        // The scheduler/decomposition path: run the case as a simulation
-        // (serial or rank-decomposed), optionally through the overlap
-        // graph, and report the combined bitwise state hash so sync and
-        // overlap runs can be compared exactly.
+        // The scheduler/decomposition path: time the case (serial or
+        // rank-decomposed), optionally through the overlap graph, and
+        // report the decomposition-invariant state hash, identical for
+        // every --ranks/--threads combination, so sync and overlap runs
+        // compare exactly. Overlap accounting and the --metrics report
+        // both read the registry delta over the run.
         const CaseConfig config =
             config_from_dict(load_case_file(args.positional()[0]));
         const int ranks = static_cast<int>(parse_int(args.get("ranks", "1")));
         MFC_REQUIRE(ranks >= 1, "run: --ranks must be positive");
         const bool overlap = args.has("overlap");
-
-        // Overlap accounting and the --metrics report both read the
-        // telemetry registry as a delta over the run window.
-        const bool telem_prev = telemetry::armed();
-        telemetry::set_armed(true);
-        const telemetry::Snapshot tel_before = telemetry::snapshot();
-
-        std::uint64_t combined = 0xcbf29ce484222325ull;
-        double wall_s = 0.0;
-        long long evals = 0;
-        const int ndims = (config.grid.cells.nx > 1 ? 1 : 0) +
-                          (config.grid.cells.ny > 1 ? 1 : 0) +
-                          (config.grid.cells.nz > 1 ? 1 : 0);
-        comm::World world(ranks);
-        world.run([&](comm::Communicator& comm) {
-            const std::array<int, 3> dims =
-                comm::dims_create(ranks, std::max(ndims, 1));
-            std::array<bool, 3> periodic{};
-            for (int d = 0; d < 3; ++d) {
-                periodic[static_cast<std::size_t>(d)] =
-                    config.bc[static_cast<std::size_t>(d)][0] ==
-                    BcType::Periodic;
-            }
-            comm::CartComm cart(comm, dims, periodic);
-            Simulation sim(config, cart);
-            sim.set_overlap(overlap);
-            sim.initialize();
-            sim.run();
-
-            // Decomposition-invariant fingerprint: blocks gather to rank
-            // 0 and hash in global order, so the printed value is
-            // identical for every --ranks/--threads combination.
-            const std::uint64_t mine = sim.global_state_hash();
-            if (comm.rank() == 0) {
-                combined = mine;
-                wall_s = sim.wall_seconds();
-                evals = sim.rhs_evals();
-            }
-        });
-
-        // Ranks are in-process threads, so the process-wide registry delta
-        // is already the all-rank sum the old per-rank allreduce computed.
-        const telemetry::Snapshot tel =
-            telemetry::delta(tel_before, telemetry::snapshot());
-        telemetry::set_armed(telem_prev);
+        const LaunchResult run = run_timed(
+            config,
+            {.ranks = ranks, .overlap = overlap, .hash = true, .metrics = true});
+        const telemetry::Snapshot& tel = run.metrics;
 
         std::printf("case: %s  (%d rank%s, %d steps, %s RHS)\n",
                     config.title.c_str(), ranks, ranks == 1 ? "" : "s",
                     config.t_step_stop, overlap ? "overlap" : "synchronous");
         std::printf("state hash: 0x%016llx\n",
-                    static_cast<unsigned long long>(combined));
-        std::printf("walltime: %.3f s  (%lld RHS evals)\n", wall_s, evals);
+                    static_cast<unsigned long long>(run.state_hash));
+        std::printf("walltime: %.3f s  (%lld RHS evals)\n", run.wall_s,
+                    run.rhs_evals);
         if (overlap && tel.value("sched.graph_runs") > 0) {
             const double in_flight =
                 static_cast<double>(tel.value("sched.comm_in_flight_ns"));
@@ -598,8 +555,9 @@ int cmd_profile(const Args& args) {
             "grindtime decomposition (see docs/observability.md).\n\n"
             "  --standard <edge>  standardized 3D two-fluid benchmark case\n"
             "                     with <edge> cells per dimension\n"
-            "  -n <ranks>         decomposed run through simMPI (default 1);\n"
-            "                     adds min/mean/max spread across ranks\n"
+            "  -n <ranks>         decomposed run through simMPI over the\n"
+            "                     case's active axes, with the min/mean/max\n"
+            "                     spread across ranks (default 1: serial)\n"
             "  --steps <n>        timed steps (default: case t_step_stop)\n"
             "  --warmup <n>       untimed warm-up steps (default 1)\n"
             "  --threads <n>      worker threads for the pencil kernels\n"
@@ -641,78 +599,30 @@ int cmd_profile(const Args& args) {
                 config.title.c_str(), cells, eqns, config.t_step_stop, warmup,
                 ranks, ranks == 1 ? "" : "s", simd::isa_label().c_str());
 
-    double wall_s = 0.0;
-    double total_grind = 0.0;
-    long long evals = 0;
-    telemetry::GrindDecomposition decomposition;
-    telemetry::Report reduced; // decomposed runs: the cross-rank spread
-
     // The command owns the process, so reset() may drop the warm-up's
     // zones, trace events and counter samples before the timed run.
-    if (ranks == 1) {
-        Simulation sim(config);
-        sim.initialize();
-        for (int s = 0; s < warmup; ++s) sim.step();
-        sim.reset_instrumentation();
-        telemetry::reset();
-        sim.run();
-        wall_s = sim.wall_seconds();
-        total_grind = sim.grindtime();
-        evals = sim.rhs_evals();
-        // Merged across threads so worker-side kernel zones (per-thread
-        // pencil attribution) appear in the decomposition.
-        decomposition = telemetry::grind_decomposition(
-            telemetry::zone_report(), cells, eqns, evals);
-    } else {
-        std::vector<telemetry::Report> windows(static_cast<std::size_t>(ranks));
-        comm::World world(ranks);
-        world.run([&](comm::Communicator& comm) {
-            const std::array<int, 3> dims = comm::dims_create(ranks, 3);
-            std::array<bool, 3> periodic{};
-            for (int d = 0; d < 3; ++d) {
-                periodic[static_cast<std::size_t>(d)] =
-                    config.bc[static_cast<std::size_t>(d)][0] ==
-                    BcType::Periodic;
-            }
-            comm::CartComm cart(comm, dims, periodic);
-            Simulation sim(config, cart);
-            sim.initialize();
-            for (int s = 0; s < warmup; ++s) sim.step();
-            sim.reset_instrumentation();
-            // reset() needs every rank idle with no zone open: zones stay
-            // off while the ranks meet (which also keeps the barriers out
-            // of the profile), and rank 0 resets between two barriers.
-            telemetry::set_enabled(false);
-            comm.barrier();
-            if (comm.rank() == 0) telemetry::reset();
-            comm.barrier();
-            telemetry::set_enabled(true);
-            sim.run();
-            windows[static_cast<std::size_t>(comm.rank())] =
-                telemetry::thread_zone_report();
-            if (comm.rank() == 0) {
-                wall_s = sim.wall_seconds();
-                total_grind = sim.grindtime();
-                evals = sim.rhs_evals();
-            }
-        });
-        reduced = telemetry::reduce_ranks(windows);
-        decomposition =
-            telemetry::grind_decomposition(reduced, cells, eqns, evals);
-    }
+    const LaunchResult run =
+        run_timed(config, {.ranks = ranks,
+                           .warmup_steps = warmup,
+                           .zones = true,
+                           .reset_telemetry = true});
+    const telemetry::GrindDecomposition decomposition =
+        telemetry::grind_decomposition(run.zones, cells, eqns, run.rhs_evals);
 
     std::fputs(
         telemetry::decomposition_table(decomposition, min_pct).str().c_str(),
         stdout);
     if (ranks > 1) {
         std::printf("\nper-rank spread (exclusive time):\n%s",
-                    telemetry::rank_spread_table(reduced).str().c_str());
+                    telemetry::rank_spread_table(run.zones).str().c_str());
     }
     const double coverage =
-        wall_s > 0.0 ? 100.0 * decomposition.total_ns * 1.0e-9 / wall_s : 0.0;
+        run.wall_s > 0.0
+            ? 100.0 * decomposition.total_ns * 1.0e-9 / run.wall_s
+            : 0.0;
     std::printf("\nwalltime   %.3f s   grindtime  %.3f ns/point/eqn/step "
                 "(%lld RHS evals)\n",
-                wall_s, total_grind, evals);
+                run.wall_s, run.grindtime_ns, run.rhs_evals);
     // With worker threads the snapshot merges per-thread CPU time, so
     // coverage can legitimately exceed 100% of walltime.
     std::printf("profiled   %.1f%% of walltime%s; phase grindtimes sum to "
@@ -733,8 +643,8 @@ int cmd_profile(const Args& args) {
         out["eqns"].set(Value(static_cast<long long>(eqns)));
         out["ranks"].set(Value(static_cast<long long>(ranks)));
         out["isa"].set(Value(simd::isa_label()));
-        out["walltime_s"].set(Value(wall_s));
-        out["grindtime_ns"].set(Value(total_grind));
+        out["walltime_s"].set(Value(run.wall_s));
+        out["grindtime_ns"].set(Value(run.grindtime_ns));
         out["phases"] = telemetry::phases_yaml(decomposition);
         out.save(args.get("yaml"));
         std::printf("wrote %s\n", args.get("yaml").c_str());
@@ -1160,55 +1070,71 @@ int usage() {
     return 2;
 }
 
+/// One verb: its handler and the flags it accepts (--help is implicit).
+struct Verb {
+    const char* name;
+    int (*run)(const Args&);
+    std::vector<std::string> values;   ///< flags that take a value
+    std::vector<std::string> switches; ///< flags that stand alone
+};
+
+const std::vector<Verb>& verbs() {
+    static const std::vector<Verb> table = {
+        {"tools", [](const Args&) { return cmd_tools(); }, {}, {}},
+        {"load", cmd_load, {"c", "m"}, {}},
+        {"build", cmd_build, {"c", "m", "gpu"}, {"case-optimization"}},
+        {"test", cmd_test, {"golden-dir", "o", "max"},
+         {"list", "generate", "add-new-variables"}},
+        {"bench", cmd_bench,
+         {"mem", "n", "o", "warmup", "threads", "chaos", "ensemble",
+          "ranks-threads"},
+         {"no-profile", "overlap", "timing"}},
+        {"bench_diff", cmd_bench_diff, {}, {}},
+        {"ubench", cmd_ubench, {"cells", "reps", "width", "o", "check"}, {}},
+        {"run", cmd_run, {"out", "threads", "ranks", "metrics"},
+         {"overlap", "hash"}},
+        {"profile", cmd_profile,
+         {"standard", "n", "steps", "warmup", "threads", "min-pct", "trace",
+          "yaml"},
+         {}},
+        // `--standard` is a switch here; the edge rides on --edge.
+        {"chaos", cmd_chaos,
+         {"edge", "n", "trials", "seed", "faults", "steps", "interval", "mtbf",
+          "max-attempts", "dir", "timeout-ms", "retries", "postmortem", "o"},
+         {"standard", "no-reference"}},
+        {"ensemble", cmd_ensemble,
+         {"regression", "bench-reps", "chaos", "uq", "seed", "edge", "steps",
+          "mem", "threads", "workers", "queue", "cache-dir", "max-failures",
+          "golden-dir", "dir", "o"},
+         {"mc", "fail-fast", "timing"}},
+        {"batch", cmd_batch,
+         {"scheduler", "name", "nodes", "tasks-per-node", "gpus-per-node",
+          "walltime", "partition", "account", "command"},
+         {"rdma", "profile"}},
+        {"devices", cmd_devices, {}, {}},
+        {"scale", cmd_scale, {"system", "edge", "ranks"},
+         {"strong", "no-rdma", "igr", "overlap"}},
+        {"pre_process", cmd_pre_process, {"out"}, {}},
+        {"simulation", cmd_simulation, {"in", "out"}, {}},
+        {"post_process", cmd_post_process, {"in", "out"}, {}},
+    };
+    return table;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
     if (argc < 2) return usage();
     const std::string tool = argv[1];
-    std::vector<std::string> bool_flags = {
-        "help", "list", "generate", "add-new-variables", "case-optimization",
-        "rdma", "profile", "strong", "no-rdma", "igr", "no-profile"};
-    // `profile` takes `--standard <edge>` as a value; for `chaos` it is a
-    // plain switch (the edge rides on --edge).
-    if (tool == "chaos") {
-        bool_flags.push_back("standard");
-        bool_flags.push_back("no-reference");
+    for (const Verb& verb : verbs()) {
+        if (tool != verb.name) continue;
+        try {
+            return verb.run(Args(argc - 2, argv + 2, verb.values, verb.switches));
+        } catch (const mfc::Error& e) {
+            std::fprintf(stderr, "mfc %s: error: %s\n", tool.c_str(), e.what());
+            return 1;
+        }
     }
-    if (tool == "ensemble") {
-        bool_flags.push_back("mc");
-        bool_flags.push_back("fail-fast");
-        bool_flags.push_back("timing");
-    }
-    // `mfc run` / `mfc bench` take --overlap (and run --hash) as switches.
-    if (tool == "run") {
-        bool_flags.push_back("overlap");
-        bool_flags.push_back("hash");
-    }
-    if (tool == "bench" || tool == "scale") bool_flags.push_back("overlap");
-    if (tool == "bench") bool_flags.push_back("timing");
-    const Args args(argc - 2, argv + 2, bool_flags);
-    try {
-        if (tool == "tools") return cmd_tools();
-        if (tool == "load") return cmd_load(args);
-        if (tool == "build") return cmd_build(args);
-        if (tool == "test") return cmd_test(args);
-        if (tool == "bench") return cmd_bench(args);
-        if (tool == "bench_diff") return cmd_bench_diff(args);
-        if (tool == "ubench") return cmd_ubench(args);
-        if (tool == "run") return cmd_run(args);
-        if (tool == "profile") return cmd_profile(args);
-        if (tool == "chaos") return cmd_chaos(args);
-        if (tool == "ensemble") return cmd_ensemble(args);
-        if (tool == "batch") return cmd_batch(args);
-        if (tool == "devices") return cmd_devices(args);
-        if (tool == "scale") return cmd_scale(args);
-        if (tool == "pre_process") return cmd_pre_process(args);
-        if (tool == "simulation") return cmd_simulation(args);
-        if (tool == "post_process") return cmd_post_process(args);
-        std::fprintf(stderr, "unknown tool: %s\n\n", tool.c_str());
-        return usage();
-    } catch (const mfc::Error& e) {
-        std::fprintf(stderr, "mfc %s: error: %s\n", tool.c_str(), e.what());
-        return 1;
-    }
+    std::fprintf(stderr, "unknown tool: %s\n\n", tool.c_str());
+    return usage();
 }

@@ -38,6 +38,13 @@ HYBRID_HASH=$("$MFC" run tests/data/sod.case --ranks 2 --threads 2 --hash \
 [ -n "$SERIAL_HASH" ] && [ "$SERIAL_HASH" = "$HYBRID_HASH" ] || {
     echo "tier1: hybrid 2x2 hash $HYBRID_HASH != serial hash $SERIAL_HASH" >&2
     exit 1; }
+# The same contract for a 1D case on 4 ranks, split along x, its one
+# active axis.
+RANKS4_HASH=$("$MFC" run tests/data/sod.case --ranks 4 --hash \
+    | grep 'state hash' | awk '{print $3}')
+[ "$SERIAL_HASH" = "$RANKS4_HASH" ] || {
+    echo "tier1: 4-rank hash $RANKS4_HASH != serial hash $SERIAL_HASH" >&2
+    exit 1; }
 
 # Telemetry determinism smoke: the deterministic metrics section written
 # by `mfc run --metrics` must be byte-identical across reruns and across
