@@ -27,14 +27,6 @@ struct Extents {
     [[nodiscard]] bool operator==(const Extents&) const = default;
 };
 
-/// Whether Field pads each x-row to a multiple of 8 doubles so every row
-/// starts 64-byte-aligned (the production layout). The legacy unpadded
-/// layout is kept behind this switch so test_layout.cpp can prove the two
-/// produce bitwise-identical states; flipping it only affects Fields
-/// resized afterwards. Defaults on; MFC_LAYOUT_PAD=0 disables.
-[[nodiscard]] bool field_row_padding();
-void set_field_row_padding(bool on);
-
 /// Minimal 64-byte-aligned allocator so Field rows can be the direct
 /// target of cache-line-granular vector loads (simd::kByteAlign).
 template <class T>
@@ -86,7 +78,7 @@ public:
         gy_ = e.ny > 1 ? ng : 0;
         gz_ = e.nz > 1 ? ng : 0;
         const int row = e.nx + 2 * gx_;
-        ldx_ = field_row_padding() ? (row + 7) / 8 * 8 : row;
+        ldx_ = (row + 7) / 8 * 8;
         ldy_ = e.ny + 2 * gy_;
         const int ldz = e.nz + 2 * gz_;
         data_.assign(static_cast<std::size_t>(ldx_) * ldy_ * ldz, 0.0);

@@ -110,7 +110,6 @@ std::optional<JobResult> ResultCache::lookup(const JobSpec& spec,
             return std::nullopt;
         }
         JobResult r;
-        r.index = spec.index;
         r.id = spec.id;
         r.kind = spec.kind;
         r.from_cache = true;

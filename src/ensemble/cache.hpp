@@ -45,7 +45,7 @@ public:
     [[nodiscard]] bool enabled() const { return !dir_.empty(); }
 
     /// Look up `key`; a hit returns a JobResult with from_cache = true
-    /// and the identity fields (index, id, kind) taken from `spec`.
+    /// and the identity fields (id, kind) taken from `spec`.
     [[nodiscard]] std::optional<JobResult> lookup(const JobSpec& spec,
                                                   std::uint64_t key);
 

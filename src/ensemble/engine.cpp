@@ -1,12 +1,12 @@
 #include "ensemble/engine.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
 #include <utility>
 
 #include "ensemble/cache.hpp"
-#include "ensemble/queue.hpp"
 #include "exec/exec.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -52,14 +52,13 @@ CampaignSummary Engine::run(const std::vector<JobSpec>& jobs, Yaml& report) {
     const int workers =
         options_.workers > 0 ? options_.workers : exec::num_threads();
 
-    // The campaign's numbers (steals, cache splits, jobs by kind) live in
-    // the telemetry registry; arm it for the duration and report deltas
-    // over this run's window so several campaigns can share a process.
+    // The campaign's numbers (cache splits, jobs by kind) live in the
+    // telemetry registry; arm it for the duration and report deltas over
+    // this run's window so several campaigns can share a process.
     const bool was_armed = telemetry::armed();
     telemetry::set_armed(true);
     const telemetry::Snapshot snap_before = telemetry::snapshot();
 
-    WorkStealingQueue queue(workers, options_.queue_capacity);
     ResultCache cache(options_.cache_dir);
     PassFailTally tally(options_.fail_fast, options_.max_failures);
 
@@ -71,16 +70,19 @@ CampaignSummary Engine::run(const std::vector<JobSpec>& jobs, Yaml& report) {
     long long delivered = 0;
     long long executed = 0;
     long long cached = 0;
-    bool stop_requested = false;
+    // Set under deliver_m once the stop policy fires; slots read it
+    // without the lock to stop claiming jobs.
+    std::atomic<bool> stop_requested{false};
     std::vector<TimingRow> timing_rows;
 
-    const auto complete = [&](JobResult r) {
+    const auto complete = [&](long long index, JobResult r) {
         const std::lock_guard<std::mutex> lk(deliver_m);
         // After a stop, the delivered set is frozen: discarding late
         // arrivals (rather than delivering whatever happened to finish)
         // keeps the report a deterministic prefix of the campaign.
-        if (stop_requested) return;
-        pending.emplace(r.index, std::move(r));
+        if (stop_requested.load(std::memory_order_relaxed)) return;
+        r.index = index;
+        pending.emplace(index, std::move(r));
         while (!pending.empty() && pending.begin()->first == next_deliver) {
             const JobResult& front = pending.begin()->second;
             if (front.from_cache) {
@@ -105,51 +107,41 @@ CampaignSummary Engine::run(const std::vector<JobSpec>& jobs, Yaml& report) {
             ++next_deliver;
             pending.erase(pending.begin());
             if (tally.should_stop()) {
-                stop_requested = true;
-                queue.stop();
+                stop_requested.store(true, std::memory_order_relaxed);
                 break;
             }
         }
     };
 
-    const auto run_one = [&](const JobSpec& spec) {
+    const auto run_one = [&](long long index) {
+        const JobSpec& spec = jobs[static_cast<std::size_t>(index)];
         std::uint64_t key = 0;
         if (cache.enabled() && spec.cacheable()) {
             key = job_key(spec);
             if (auto hit = cache.lookup(spec, key)) {
-                complete(std::move(*hit));
+                complete(index, std::move(*hit));
                 return;
             }
         }
         JobResult r = execute_job(spec);
         r.key = key;
         if (cache.enabled()) cache.store(spec, r, key);
-        complete(std::move(r));
+        complete(index, std::move(r));
     };
 
+    // Every slot claims job indices from one cursor: fetch_add hands out
+    // each index exactly once whichever slot takes it, and a slot stops
+    // at the end of the vector or once the stop policy has fired. At one
+    // thread the single inline call runs the whole campaign in order.
+    const long long total = static_cast<long long>(jobs.size());
+    std::atomic<long long> cursor{0};
     exec::parallel_for("ensemble_campaign", 0, workers,
-                       [&](long long lo, long long hi) {
-        for (long long w = lo; w < hi; ++w) {
-            if (w == 0) {
-                // Producer: stream the campaign. When the bounded queue is
-                // full, help drain it instead of blocking — so a single
-                // thread (workers == 1) still executes every job, and the
-                // producer never idles while work is waiting.
-                for (std::size_t i = 0; i < jobs.size(); ++i) {
-                    JobSpec spec = jobs[i];
-                    spec.index = static_cast<long long>(i);
-                    while (!queue.stopped() && !queue.try_push(spec)) {
-                        if (auto job = queue.try_pop(0)) run_one(*job);
-                    }
-                    if (queue.stopped()) break;
-                }
-                queue.close();
-                while (auto job = queue.pop(0)) run_one(*job);
-            } else {
-                while (auto job = queue.pop(static_cast<int>(w))) {
-                    run_one(*job);
-                }
-            }
+                       [&](long long, long long) {
+        while (!stop_requested.load(std::memory_order_relaxed)) {
+            const long long i =
+                cursor.fetch_add(1, std::memory_order_relaxed);
+            if (i >= total) break;
+            run_one(i);
         }
     });
 
@@ -158,14 +150,13 @@ CampaignSummary Engine::run(const std::vector<JobSpec>& jobs, Yaml& report) {
     if (!was_armed) telemetry::set_armed(false);
 
     CampaignSummary s;
-    s.total = static_cast<long long>(jobs.size());
+    s.total = total;
     s.delivered = delivered;
     s.executed = executed;
     s.cached = cached;
     s.passed = tally.passed();
     s.failed = tally.failed();
     s.cancelled = s.total - delivered;
-    s.steals = campaign.value("ensemble.steals");
     s.workers = workers;
     s.wall_s = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
@@ -196,7 +187,6 @@ CampaignSummary Engine::run(const std::vector<JobSpec>& jobs, Yaml& report) {
         Yaml& t = report["timing"];
         t["workers"].set(Value(s.workers));
         t["wall_s"].set(Value(s.wall_s));
-        t["steals"].set(Value(s.steals));
         if (s.wall_s > 0.0) {
             t["jobs_per_s"].set(
                 Value(static_cast<double>(s.delivered) / s.wall_s));

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -11,11 +10,10 @@
 namespace mfc::ensemble {
 
 struct EngineOptions {
-    /// Campaign worker count; 0 means one worker per exec pool thread.
+    /// Campaign worker slots; 0 means one per exec pool thread. Only the
+    /// repository benchmark sets it (to its thread count): a job's own
+    /// loops run inline, so any other slot count only idles threads.
     int workers = 0;
-    /// Bound on jobs pending in the work-stealing queue. Small on purpose:
-    /// the producer streams the campaign instead of materializing it.
-    std::size_t queue_capacity = 32;
     /// Result-cache directory; "" disables caching.
     std::string cache_dir;
     /// Stop the campaign at the first delivered failure.
@@ -23,14 +21,14 @@ struct EngineOptions {
     /// Stop once more than this many failures have been delivered
     /// (< 0 disables).
     int max_failures = -1;
-    /// Add a non-deterministic `timing:` section (wall times, steals,
-    /// per-job phase attribution) to the report.
+    /// Add a non-deterministic `timing:` section (wall times, per-job
+    /// phase attribution) to the report.
     bool timing = false;
 };
 
 /// Deterministic-except-where-noted campaign accounting. The cache split
-/// (executed vs cached) depends on cache state; steals and wall_s depend
-/// on scheduling; everything else is reproducible for a fixed job list.
+/// (executed vs cached) depends on cache state and wall_s on scheduling;
+/// everything else is reproducible for a fixed job list.
 struct CampaignSummary {
     long long total = 0;     ///< jobs submitted
     long long delivered = 0; ///< results delivered to consumers (a prefix)
@@ -39,24 +37,24 @@ struct CampaignSummary {
     long long passed = 0;
     long long failed = 0;
     long long cancelled = 0; ///< total - delivered (fail-fast / max-failures)
-    long long steals = 0;    ///< queue work-steal count (diagnostic)
+    /// Always 0: slots claim jobs from one shared cursor and steal
+    /// nothing. Kept because the repository benchmark reads it.
+    long long steals = 0;
     int workers = 0;
     double wall_s = 0.0;
 
     [[nodiscard]] bool ok() const { return failed == 0 && cancelled == 0; }
 };
 
-/// The campaign engine: a producer/consumer pipeline layered on the
-/// exec worker pool.
+/// The campaign engine: worker slots layered on the exec worker pool.
 ///
-/// Worker 0 — running on the dispatching thread — is the producer: it
-/// streams JobSpecs into the bounded WorkStealingQueue and, whenever the
-/// queue is full, pops and executes a job itself instead of blocking
-/// ("help-first" production). Workers 1..W-1 pop until the queue is
-/// closed and drained. Jobs are whole simulations; any parallel_for they
-/// issue degrades to inline-serial via the exec nested-dispatch guard, so
-/// the machine runs exactly W simulations at a time with no
-/// oversubscription and no deadlock.
+/// One exec::parallel_for runs the slots. Each slot claims the next
+/// index of the caller's job vector from one shared atomic cursor and
+/// executes that job, until the vector is exhausted or the stop policy
+/// (fail-fast / max-failures) has fired. Jobs are whole simulations; any
+/// parallel_for they issue degrades to inline-serial via the exec
+/// nested-dispatch guard, so the machine runs one simulation per slot
+/// with no oversubscription and no deadlock.
 ///
 /// Completed results enter a reorder buffer and are delivered to every
 /// registered consumer strictly in job-index order. That single decision
@@ -74,10 +72,10 @@ public:
     /// delivers, one at a time (the engine serializes delivery).
     void add_consumer(Consumer* consumer) { consumers_.push_back(consumer); }
 
-    /// Execute the campaign. Job indices are assigned from positions in
-    /// `jobs`. Deterministic report sections (summary, kinds, failures,
-    /// consumer sections) are written into `report`; a `timing:` section
-    /// is appended when EngineOptions::timing is set.
+    /// Execute the campaign. A job's index (JobResult::index) is its
+    /// position in `jobs`. Deterministic report sections (summary, kinds,
+    /// failures, consumer sections) are written into `report`; a
+    /// `timing:` section is appended when EngineOptions::timing is set.
     CampaignSummary run(const std::vector<JobSpec>& jobs, Yaml& report);
 
 private:

@@ -125,7 +125,6 @@ void run_chaos_job(const JobSpec& spec, JobResult& r) {
 
 JobResult execute_job(const JobSpec& spec) {
     JobResult r;
-    r.index = spec.index;
     r.id = spec.id;
     r.kind = spec.kind;
     // The worker's "ensemble_campaign" chunk zone stays open across the

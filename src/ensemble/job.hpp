@@ -24,9 +24,6 @@ enum class JobKind {
 
 struct JobSpec {
     JobKind kind = JobKind::Regression;
-    /// Campaign position. Consumers observe results in index order, so
-    /// every report is deterministic regardless of completion order.
-    long long index = 0;
     /// Unique human-readable id, e.g. "reg-1A2B3C4D" or "bench-igr_jacobi-2".
     /// Ids are used as YAML map keys in the campaign report, so they must
     /// not contain ':' (the parser splits keys at the first colon).
@@ -54,6 +51,10 @@ struct JobSpec {
 /// fields (passed, state_hash, detail, sample) enter the reproducible
 /// part of the campaign report; timings feed the console/timing section.
 struct JobResult {
+    /// Campaign position: the job's index in the vector handed to
+    /// Engine::run, stamped by the engine. Consumers observe results in
+    /// index order, so every report is deterministic regardless of
+    /// completion order.
     long long index = 0;
     std::string id;
     JobKind kind = JobKind::Regression;

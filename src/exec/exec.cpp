@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -43,9 +42,9 @@ namespace {
 
 constexpr int kMaxThreads = 256;
 constexpr int kMaxTeams = 64;
-/// Steal mode oversubscribes the chunk grid by this factor so uneven
+/// The chunk grid oversubscribes each slot by this factor so uneven
 /// per-chunk cost leaves stealable remainders instead of stragglers.
-constexpr int kStealChunksPerSlot = 4;
+constexpr int kChunksPerSlot = 4;
 
 int initial_num_threads() {
     const char* env = std::getenv("MFC_NUM_THREADS");
@@ -59,19 +58,6 @@ int initial_core_budget() {
     if (env == nullptr || *env == '\0') return kMaxThreads;
     const long n = std::strtol(env, nullptr, 10);
     return static_cast<int>(std::clamp<long>(n, 0, kMaxThreads));
-}
-
-int initial_partition() {
-    const char* env = std::getenv("MFC_EXEC_PARTITION");
-    if (env != nullptr && std::strcmp(env, "static") == 0) {
-        return static_cast<int>(Partition::Static);
-    }
-    return static_cast<int>(Partition::Steal);
-}
-
-std::atomic<int>& partition_cell() {
-    static std::atomic<int> cell{initial_partition()};
-    return cell;
 }
 
 thread_local bool t_in_parallel = false;
@@ -146,7 +132,6 @@ private:
     const std::function<void(int)>* task_ = nullptr;
     int nchunks_ = 0;
     int nslots_ = 1;
-    bool steal_ = false;
     int pending_ = 0;
     std::uint64_t generation_ = 0;
     bool stop_ = false;
@@ -279,7 +264,6 @@ bool Team::dispatch(const char* label, int nchunks,
         task_ = &chunk;
         nchunks_ = nchunks;
         nslots_ = nslots;
-        steal_ = partition() == Partition::Steal;
         for (int s = 0; s < nslots; ++s) {
             cursor_[static_cast<std::size_t>(s)].store(
                 nchunks * s / nslots, std::memory_order_relaxed);
@@ -372,7 +356,6 @@ void Team::run_slot(int slot) {
                end_[static_cast<std::size_t>(slot)]) {
             (*task_)(c);
         }
-        if (!steal_) return;
         // Steal loop: grab from the peer with the most chunks left; an
         // increment that lands past the victim's end is an idle grab
         // (bounded: one per visit), never a double execution.
@@ -424,15 +407,6 @@ void set_num_threads(int n) { Pool::instance().set_threads(n); }
 int core_budget() { return Pool::instance().budget(); }
 
 void set_core_budget(int n) { Pool::instance().set_budget(n); }
-
-Partition partition() {
-    return static_cast<Partition>(
-        partition_cell().load(std::memory_order_relaxed));
-}
-
-void set_partition(Partition p) {
-    partition_cell().store(static_cast<int>(p), std::memory_order_relaxed);
-}
 
 TeamGuard::TeamGuard(int team_id) : prev_(t_team) {
     t_team = &Pool::instance().team(team_id);
@@ -487,15 +461,11 @@ void parallel_for(const char* label, long long begin, long long end,
         }
         return;
     }
-    // Steal mode oversubscribes the grid so uneven chunk cost leaves
-    // stealable work; static mode keeps one chunk per slot. Either way
-    // the grid depends only on (n, nthreads, mode) — never on which
-    // thread runs a chunk — so results are partition-reproducible.
-    const long long max_chunks =
-        partition() == Partition::Steal
-            ? static_cast<long long>(nthreads) * kStealChunksPerSlot
-            : static_cast<long long>(nthreads);
-    const int nchunks = static_cast<int>(std::min<long long>(n, max_chunks));
+    // The grid is oversubscribed so uneven chunk cost leaves stealable
+    // work, and depends only on (n, nthreads) — never on which thread
+    // runs a chunk — so results are partition-reproducible.
+    const int nchunks = static_cast<int>(std::min<long long>(
+        n, static_cast<long long>(nthreads) * kChunksPerSlot));
     const auto chunk = [&](int c) {
         const long long lo = begin + n * c / nchunks;
         const long long hi = begin + n * (c + 1) / nchunks;

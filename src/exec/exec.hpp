@@ -71,15 +71,12 @@ void set_num_threads(int n);
 [[nodiscard]] int core_budget();
 void set_core_budget(int n);
 
-/// Chunk scheduling policy. Steal (the default) oversubscribes the chunk
-/// grid and lets idle slots pull chunks from the fullest peer, so
-/// mixed-cost rows (WENO5 vs IGR, boundary shell vs interior core) stop
-/// costing idle time; Static is the legacy one-contiguous-range-per-slot
-/// partitioning, kept selectable (MFC_EXEC_PARTITION=static) for A/B
-/// measurement. Results are bitwise identical either way.
-enum class Partition { Static, Steal };
-[[nodiscard]] Partition partition();
-void set_partition(Partition p);
+/// Chunk scheduling policy. There is one: the chunk grid is
+/// oversubscribed and idle slots pull chunks from the fullest peer (see
+/// parallel_for). Kept only because the repository benchmark prints it
+/// in its provenance line, as it does tile_rows().
+enum class Partition { Steal };
+[[nodiscard]] constexpr Partition partition() { return Partition::Steal; }
 
 /// Pencils per tile of ubench's `transpose_tile` reference copy (16 = two
 /// 64-byte lines of doubles); the repository benchmark times that kernel
@@ -111,9 +108,9 @@ private:
 using ChunkFn = std::function<void(long long, long long)>;
 
 /// Run `body` over [begin, end) split into contiguous chunks dispatched
-/// on the calling thread's team (work-stealing by default; see
-/// Partition). Chunk boundaries depend only on the range and the
-/// configured thread count — never on which thread runs a chunk. Empty
+/// on the calling thread's team, where slots that drain their own chunks
+/// steal from their peers. Chunk boundaries depend only on the range and
+/// the configured thread count — never on which thread runs a chunk. Empty
 /// ranges return immediately; empty chunks are skipped. `label` must be
 /// a string literal (zones are keyed by pointer).
 void parallel_for(const char* label, long long begin, long long end,

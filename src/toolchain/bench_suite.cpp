@@ -246,9 +246,6 @@ Yaml BenchSuite::run_all(const std::string& invocation) const {
     // The kernels' ISA level and simd width: the same `-march=native`
     // builds AVX-512 code on one host and SSE2 code on another.
     root["metadata"]["isa"].set(Value(simd::isa_label()));
-    // The chunk scheduling policy behind the numbers moves grindtimes.
-    root["metadata"]["partition"].set(Value(std::string(
-        exec::partition() == exec::Partition::Steal ? "steal" : "static")));
 
     const int prev_threads = exec::num_threads();
     exec::set_num_threads(options_.threads);
@@ -511,7 +508,7 @@ std::string bench_diff_report(const Yaml& reference, const Yaml& candidate,
     const Yaml* ref_meta = find(reference, "metadata");
     const Yaml* cand_meta = find(candidate, "metadata");
     for (const char* key :
-         {"threads", "partition", "hostname", "compiler", "flags", "isa"}) {
+         {"threads", "hostname", "compiler", "flags", "isa"}) {
         out += meta_line(ref_meta, cand_meta, key);
     }
     if (!out.empty()) out += "\n";

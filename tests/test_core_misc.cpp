@@ -126,18 +126,6 @@ TEST(Field, InactiveDimensionsCarryNoGhosts) {
     EXPECT_EQ(f.raw().size(), 16u);
 }
 
-TEST(Field, UnpaddedLayoutMatchesRowLength) {
-    // The legacy layout (test_layout.cpp's reference) allocates exactly
-    // the addressable cells; flipping the switch only affects later
-    // resizes.
-    set_field_row_padding(false);
-    Field f(Extents{8, 1, 1}, 3);
-    set_field_row_padding(true);
-    EXPECT_EQ(f.padded_row_length(), 14);
-    EXPECT_EQ(f.raw().size(), 14u);
-    EXPECT_EQ(f.stride(1), 14);
-}
-
 TEST(Field, InteriorSumExcludesGhosts) {
     Field f(Extents{4, 1, 1}, 2);
     f.fill(0.0);

@@ -1,13 +1,11 @@
-// src/ensemble — campaign engine, work-stealing queue, result cache,
-// streaming consumers, and the UQ sampling plan.
+// src/ensemble — campaign engine (job cursor, reorder buffer, stop
+// policy), result cache, streaming consumers, and the UQ sampling plan.
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -18,12 +16,10 @@
 #include "core/rng.hpp"
 #include "ensemble/cache.hpp"
 #include "ensemble/engine.hpp"
-#include "ensemble/queue.hpp"
 #include "ensemble/stats.hpp"
 #include "ensemble/uq.hpp"
 #include "exec/exec.hpp"
 #include "simd/simd.hpp"
-#include "telemetry/telemetry.hpp"
 #include "toolchain/bench_suite.hpp"
 #include "toolchain/case_stack.hpp"
 
@@ -189,76 +185,6 @@ TEST(EnsembleConsumers, MomentAccumulatorIgnoresFailedAndForeignJobs) {
     EXPECT_EQ(acc.moments().count(), 1);
 }
 
-// ----------------------------------------------------------------- queue
-
-TEST(EnsembleQueue, BoundedTryPush) {
-    WorkStealingQueue q(2, 2);
-    EXPECT_TRUE(q.try_push(tiny_job(JobKind::Uq, "a")));
-    EXPECT_TRUE(q.try_push(tiny_job(JobKind::Uq, "b")));
-    EXPECT_FALSE(q.try_push(tiny_job(JobKind::Uq, "c"))); // full
-    EXPECT_EQ(q.pending(), 2u);
-    EXPECT_TRUE(q.try_pop(0).has_value());
-    EXPECT_TRUE(q.try_push(tiny_job(JobKind::Uq, "c")));
-}
-
-TEST(EnsembleQueue, StealsFromBusyWorkers) {
-    // Steal accounting lives in the telemetry registry (the queue keeps
-    // no counter of its own); read it back as a snapshot delta.
-    const bool was_armed = telemetry::armed();
-    telemetry::set_armed(true);
-    const telemetry::Snapshot before = telemetry::snapshot();
-    WorkStealingQueue q(2, 8);
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(q.try_push(tiny_job(JobKind::Uq, std::to_string(i))));
-    }
-    // Push balances across both deques; draining through worker 0 alone
-    // must steal worker 1's share.
-    int drained = 0;
-    while (q.try_pop(0).has_value()) ++drained;
-    const telemetry::Snapshot d =
-        telemetry::delta(before, telemetry::snapshot());
-    if (!was_armed) telemetry::set_armed(false);
-    EXPECT_EQ(drained, 4);
-    EXPECT_EQ(d.value("ensemble.steals"), 2);
-}
-
-TEST(EnsembleQueue, StopDiscardsPending) {
-    WorkStealingQueue q(2, 8);
-    ASSERT_TRUE(q.try_push(tiny_job(JobKind::Uq, "x")));
-    q.stop();
-    EXPECT_TRUE(q.stopped());
-    EXPECT_EQ(q.pending(), 0u);
-    EXPECT_FALSE(q.pop(0).has_value());
-    EXPECT_FALSE(q.try_push(tiny_job(JobKind::Uq, "y")));
-}
-
-TEST(EnsembleQueue, ConcurrentExactlyOnceDelivery) {
-    const int total = 200;
-    const int workers = 4;
-    WorkStealingQueue q(workers, 8);
-
-    std::mutex m;
-    std::vector<int> seen(total, 0);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-        threads.emplace_back([&q, &m, &seen, w] {
-            while (auto job = q.pop(w)) {
-                const std::lock_guard<std::mutex> lk(m);
-                ++seen[static_cast<std::size_t>(job->index)];
-            }
-        });
-    }
-    for (int i = 0; i < total; ++i) {
-        JobSpec spec = tiny_job(JobKind::Uq, std::to_string(i));
-        spec.index = i;
-        ASSERT_TRUE(q.push(std::move(spec))); // blocking push: queue bounded
-    }
-    q.close();
-    for (std::thread& t : threads) t.join();
-    for (int i = 0; i < total; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], 1);
-}
-
 // --------------------------------------------------------------- hashing
 
 TEST(EnsembleCache, Hex64RoundTripsAwkwardPatterns) {
@@ -292,10 +218,9 @@ TEST(EnsembleCache, JobKeyCoversHardenedFields) {
     JobSpec spec = tiny_job(JobKind::Uq, "uq-0000");
     const std::uint64_t base = job_key(spec);
 
-    // Identity: index and id are scheduling metadata, not physics.
+    // Identity: the id is scheduling metadata, not physics.
     JobSpec renamed = spec;
     renamed.id = "uq-9999";
-    renamed.index = 42;
     EXPECT_EQ(job_key(renamed), base);
 
     // SIMD width and thread count cannot change a result, so they do not
@@ -346,10 +271,8 @@ TEST(EnsembleCache, StoreAndLookupRoundTripsBitExactly) {
     const std::string dir = unique_dir("mfc_ens_cache");
     ResultCache cache(dir);
     JobSpec spec = tiny_job(JobKind::Uq, "uq-0001");
-    spec.index = 5;
 
     JobResult r;
-    r.index = 5;
     r.id = spec.id;
     r.kind = JobKind::Uq;
     r.passed = true;
@@ -513,9 +436,7 @@ TEST(EnsembleEngine, MomentsMatchSerialReferenceBitwise) {
     WelfordField reference;
     {
         const ThreadGuard guard(1);
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            JobSpec spec = jobs[i];
-            spec.index = static_cast<long long>(i);
+        for (const JobSpec& spec : jobs) {
             const JobResult r = execute_job(spec);
             ASSERT_TRUE(r.passed) << r.detail;
             if (r.kind == JobKind::Uq) reference.add(r.sample);
@@ -614,6 +535,49 @@ TEST(EnsembleEngine, MaxFailuresBudget) {
     EXPECT_EQ(s.failed, 3);    // third failure trips the budget
     EXPECT_EQ(s.delivered, 7); // frozen right after job 6
     EXPECT_EQ(s.cancelled, static_cast<long long>(jobs.size()) - 7);
+}
+
+// The engine's job cursor: every index is claimed once, so every job
+// is delivered once and in index order at any thread count, and the
+// stop flag freezes delivery right after a fail-fast failure. Jobs that
+// fail at once (an unknown parameter rejects in config_from_dict) keep
+// 256 of them cheap, so each slot claims many indices — the race the
+// TSan leg runs this test for.
+TEST(EnsembleEngine, EveryJobIsDeliveredOnceInIndexOrder) {
+    JobSpec poisoned = tiny_job(JobKind::Regression, "");
+    poisoned.params["no_such_parameter"] = 1;
+    std::vector<JobSpec> failing(256, poisoned);
+    std::vector<JobSpec> one_poisoned(256,
+                                      tiny_job(JobKind::Regression, ""));
+    one_poisoned[100] = poisoned;
+    for (std::size_t i = 0; i < failing.size(); ++i) {
+        failing[i].id = one_poisoned[i].id = "reg-" + std::to_string(i);
+    }
+
+    for (const int threads : {1, 2, 4}) {
+        const ThreadGuard guard(threads);
+        {
+            Engine engine(EngineOptions{});
+            OrderProbe probe;
+            engine.add_consumer(&probe);
+            Yaml report;
+            const CampaignSummary s = engine.run(failing, report);
+            EXPECT_EQ(probe.delivered(), 256) << "threads " << threads;
+            EXPECT_EQ(s.delivered, 256) << "threads " << threads;
+            EXPECT_EQ(s.failed, 256) << "threads " << threads;
+        }
+        EngineOptions opts;
+        opts.fail_fast = true;
+        Engine engine(opts);
+        OrderProbe probe;
+        engine.add_consumer(&probe);
+        Yaml report;
+        const CampaignSummary s = engine.run(one_poisoned, report);
+        EXPECT_EQ(probe.delivered(), 101) << "threads " << threads;
+        EXPECT_EQ(s.delivered, 101) << "threads " << threads;
+        EXPECT_EQ(s.failed, 1) << "threads " << threads;
+        EXPECT_EQ(s.cancelled, 155) << "threads " << threads;
+    }
 }
 
 // Satellite: worker-pool reuse under nesting. Campaign workers dispatch

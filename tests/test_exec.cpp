@@ -26,16 +26,6 @@ struct ThreadScope {
     int prev_;
 };
 
-/// Restores the chunk-partition policy on scope exit so static/steal
-/// A/B tests cannot leak into other tests.
-struct PartitionScope {
-    explicit PartitionScope(exec::Partition p) : prev_(exec::partition()) {
-        exec::set_partition(p);
-    }
-    ~PartitionScope() { exec::set_partition(prev_); }
-    exec::Partition prev_;
-};
-
 TEST(Exec, EmptyRangeNeverInvokesBody) {
     ThreadScope threads(4);
     std::atomic<int> calls{0};
@@ -81,7 +71,6 @@ TEST(Exec, WorkStealingExecutesEveryRowExactlyOnce) {
     // the cost profile forces heavy stealing (the first quarter of the
     // rows is ~100x more expensive than the rest).
     ThreadScope threads(4);
-    PartitionScope part(exec::Partition::Steal);
     const long long n = 4096;
     for (int rep = 0; rep < 3; ++rep) {
         std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
@@ -117,7 +106,6 @@ TEST(Exec, NestedParallelForAttributesRowsToExecutingThread) {
     // and workers — through the nested loop, so the merged profile must
     // contain the worker-side "t_outer/t_inner" path.
     ThreadScope threads(4);
-    PartitionScope part(exec::Partition::Steal);
     telemetry::set_enabled(true);
     const telemetry::Report before = telemetry::zone_report();
     const int nslots = 4;
@@ -276,42 +264,6 @@ std::uint64_t run_case_hash(int nthreads) {
     sim.initialize();
     sim.run();
     return sim.state_hash();
-}
-
-TEST(Exec, StaticAndStealPartitionsAreBitwiseIdentical) {
-    // Stealing changes which thread runs a chunk, never the chunk grid,
-    // so a full simulation and an ordered reduction must agree bitwise
-    // between the two policies.
-    const auto reduce = [] {
-        return exec::ordered_reduce<double>(
-            "test_part_reduce", 0, 5000, 0.0,
-            [](long long lo, long long hi) {
-                double s = 0.0;
-                for (long long t = lo; t < hi; ++t) {
-                    s += 1.0 / (1.0 + static_cast<double>(t));
-                }
-                return s;
-            },
-            [](double a, double b) { return a + b; });
-    };
-    std::uint64_t steal_hash = 0;
-    std::uint64_t static_hash = 0;
-    double steal_sum = 0.0;
-    double static_sum = 0.0;
-    {
-        PartitionScope part(exec::Partition::Steal);
-        steal_hash = run_case_hash(4);
-        ThreadScope threads(4);
-        steal_sum = reduce();
-    }
-    {
-        PartitionScope part(exec::Partition::Static);
-        static_hash = run_case_hash(4);
-        ThreadScope threads(4);
-        static_sum = reduce();
-    }
-    EXPECT_EQ(steal_hash, static_hash);
-    EXPECT_EQ(steal_sum, static_sum);
 }
 
 TEST(Exec, ThreadedSimulationIsBitwiseIdenticalToSerial) {

@@ -16,36 +16,18 @@ namespace mfc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Layout parity: the padded pencil-contiguous SoA layout must be an
-// implementation detail. Every simulation state produced with padded
-// rows (the default) must be bitwise identical to the legacy unpadded
-// layout, across models, reconstructions, Riemann solvers, SIMD widths,
-// thread counts, and rank decompositions (sync and overlap). Padding
-// only changes where interior cells live in memory — never their values.
+// Layout invariance: the padded pencil-contiguous SoA layout is read in
+// place by every sweep — along x-pencils, and across x-adjacent pencils
+// with halving tail blocks in y/z. How many cells one vector op covers
+// (the SIMD width) and which thread runs a pencil must not change a bit:
+// every run must reproduce the W = 1, one-thread state, across models,
+// reconstructions, Riemann solvers, thread counts, and rank
+// decompositions (sync and overlap).
 // ---------------------------------------------------------------------------
 
-/// RAII toggle for the global Field row-padding mode. Only Fields
-/// resized while the toggle is live pick up the layout, so each
-/// simulation must be constructed inside the guard's scope.
-class PaddingGuard {
-  public:
-    explicit PaddingGuard(bool pad) : prev_(field_row_padding()) {
-        set_field_row_padding(pad);
-    }
-    ~PaddingGuard() { set_field_row_padding(prev_); }
-    PaddingGuard(const PaddingGuard&) = delete;
-    PaddingGuard& operator=(const PaddingGuard&) = delete;
-
-  private:
-    bool prev_;
-};
-
 /// Final interior state of a serial run, flattened in (eq, k, j, i)
-/// order via operator() — layout-independent by construction, so the
-/// vectors from both layouts can be memcmp'd even though the backing
-/// raw() buffers differ in size.
-std::vector<double> interior_state(const CaseConfig& c, bool padded) {
-    PaddingGuard guard(padded);
+/// order via operator(), so padding cells stay out of the comparison.
+std::vector<double> interior_state(const CaseConfig& c) {
     Simulation sim(c);
     sim.initialize();
     sim.run();
@@ -63,20 +45,22 @@ std::vector<double> interior_state(const CaseConfig& c, bool padded) {
     return out;
 }
 
-/// The serial acceptance sweep: padded and legacy layouts must agree
-/// bitwise at every SIMD width and thread count.
+/// The serial acceptance sweep: every SIMD width and thread count must
+/// memcmp-equal the W = 1, one-thread run.
 void expect_layout_parity(const CaseConfig& c) {
     const int prev_width = simd::width();
+    simd::set_width(1);
+    exec::set_num_threads(1);
+    const std::vector<double> reference = interior_state(c);
     for (const int w : {1, 2, 4, 8}) {
         for (const int threads : {1, 4}) {
             simd::set_width(w);
             exec::set_num_threads(threads);
-            const std::vector<double> legacy = interior_state(c, false);
-            const std::vector<double> padded = interior_state(c, true);
+            const std::vector<double> state = interior_state(c);
             exec::set_num_threads(1);
-            ASSERT_EQ(legacy.size(), padded.size());
-            EXPECT_EQ(std::memcmp(legacy.data(), padded.data(),
-                                  legacy.size() * sizeof(double)),
+            ASSERT_EQ(reference.size(), state.size());
+            EXPECT_EQ(std::memcmp(reference.data(), state.data(),
+                                  reference.size() * sizeof(double)),
                       0)
                 << "width " << w << ", threads " << threads;
         }
@@ -129,15 +113,13 @@ TEST(LayoutParity, IgrJacobi) {
 
 // ---------------------------------------------------------------------------
 // Decomposed runs: the halo pack/unpack path works on x-runs whose
-// length is the interior slab width, not the padded row — the per-rank
-// state hash must not depend on the layout at any rank count, with the
+// length is the interior slab width, not the padded row — the global
+// state hash must equal the serial run's at every rank count, with the
 // synchronous and the overlapped (task-graph) RHS alike.
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint64_t> decomposed_hashes(const CaseConfig& c, int nranks,
-                                             bool overlap, bool padded) {
-    PaddingGuard guard(padded);
-    std::vector<std::uint64_t> hashes(static_cast<std::size_t>(nranks), 0);
+std::uint64_t decomposed_hash(const CaseConfig& c, int nranks, bool overlap) {
+    std::uint64_t hash = 0;
     const CaseTopology topo = case_topology(c, nranks);
     comm::World world(nranks);
     world.run([&](comm::Communicator& comm) {
@@ -146,23 +128,22 @@ std::vector<std::uint64_t> decomposed_hashes(const CaseConfig& c, int nranks,
         sim.set_overlap(overlap);
         sim.initialize();
         sim.run();
-        hashes[static_cast<std::size_t>(comm.rank())] = sim.state_hash();
+        const std::uint64_t mine = sim.global_state_hash();
+        if (comm.rank() == 0) hash = mine;
     });
-    return hashes;
+    return hash;
 }
 
 TEST(LayoutParity, DecomposedSyncAndOverlap) {
     const CaseConfig c = layout_case();
+    Simulation serial(c);
+    serial.initialize();
+    serial.run();
+    const std::uint64_t reference = serial.global_state_hash();
     for (const int nranks : {1, 2, 4}) {
         for (const bool overlap : {false, true}) {
-            const auto legacy = decomposed_hashes(c, nranks, overlap, false);
-            const auto padded = decomposed_hashes(c, nranks, overlap, true);
-            ASSERT_EQ(legacy.size(), padded.size());
-            for (std::size_t r = 0; r < legacy.size(); ++r) {
-                EXPECT_EQ(legacy[r], padded[r])
-                    << "rank " << r << " of " << nranks << ", overlap "
-                    << overlap;
-            }
+            EXPECT_EQ(decomposed_hash(c, nranks, overlap), reference)
+                << nranks << " ranks, overlap " << overlap;
         }
     }
 }

@@ -278,11 +278,12 @@ TEST(BenchDiff, BaselineWithoutUbenchRendersNa) {
     // Reference YAML from a build predating `ubench:`: the kernel table
     // still renders (candidate side), reference cells degrade to n/a
     // instead of throwing — mirroring the resilience handling. Its
-    // metadata still carries the retired `tile_rows:` key, which the
-    // provenance header no longer lists.
+    // metadata still carries the retired `tile_rows:` and `partition:`
+    // keys, which the provenance header no longer lists.
     Yaml ref, cand;
     ref["metadata"]["threads"].set(Value(1LL));
     ref["metadata"]["tile_rows"].set(Value(16LL));
+    ref["metadata"]["partition"].set(Value("static"));
     cand["metadata"]["threads"].set(Value(1LL));
     ref["cases"]["a"]["grindtime_ns"].set(Value(10.0));
     cand["cases"]["a"]["grindtime_ns"].set(Value(5.0));
@@ -292,6 +293,7 @@ TEST(BenchDiff, BaselineWithoutUbenchRendersNa) {
     EXPECT_NO_THROW(s = bench_diff_report(ref, cand));
     EXPECT_NE(s.find("threads: 1"), std::string::npos);
     EXPECT_EQ(s.find("tile_rows"), std::string::npos);
+    EXPECT_EQ(s.find("partition"), std::string::npos);
     EXPECT_NE(s.find("2.00x"), std::string::npos);
     EXPECT_NE(s.find("weno5_js"), std::string::npos);
     EXPECT_NE(s.find("12.50"), std::string::npos);

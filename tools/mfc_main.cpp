@@ -768,8 +768,8 @@ int cmd_ensemble(const Args& args) {
             "mfc ensemble [options]\n\n"
             "Campaign engine: serve a heterogeneous batch of simulations —\n"
             "regression cases, benchmark repetitions, chaos trials, and\n"
-            "UQ samples — from one process through a work-stealing job\n"
-            "queue layered on the exec worker pool (docs/ensemble.md).\n"
+            "UQ samples — from one process, each exec worker thread\n"
+            "running one job at a time (docs/ensemble.md).\n"
             "Reports are byte-identical for a fixed seed at any worker\n"
             "count; cached results are reused across runs.\n\n"
             "  --regression <n>    regression-suite cases (default 64)\n"
@@ -787,8 +787,6 @@ int cmd_ensemble(const Args& args) {
             "  --threads <n>       exec worker threads (default 1; also\n"
             "                      MFC_NUM_THREADS) — one campaign worker\n"
             "                      per thread\n"
-            "  --workers <n>       override the campaign worker count\n"
-            "  --queue <n>         pending-job bound (default 32)\n"
             "  --cache-dir <dir>   result cache directory (default: no cache)\n"
             "  --fail-fast         stop at the first failure\n"
             "  --max-failures <n>  stop after more than n failures\n"
@@ -871,9 +869,6 @@ int cmd_ensemble(const Args& args) {
     }
 
     ensemble::EngineOptions eopts;
-    eopts.workers = static_cast<int>(parse_int(args.get("workers", "0")));
-    eopts.queue_capacity =
-        static_cast<std::size_t>(parse_int(args.get("queue", "32")));
     eopts.cache_dir = args.get("cache-dir", "");
     eopts.fail_fast = args.has("fail-fast");
     eopts.max_failures =
@@ -916,9 +911,8 @@ int cmd_ensemble(const Args& args) {
         }
     }
     std::printf("\n%lld/%lld passed, %lld failed, %lld cancelled   "
-                "cache hits %lld   steals %lld\n",
-                s.passed, s.delivered, s.failed, s.cancelled, s.cached,
-                s.steals);
+                "cache hits %lld\n",
+                s.passed, s.delivered, s.failed, s.cancelled, s.cached);
     std::printf("%d worker%s, %.2f s wall (%.1f jobs/s)\n", s.workers,
                 s.workers == 1 ? "" : "s", s.wall_s,
                 s.wall_s > 0.0 ? static_cast<double>(s.delivered) / s.wall_s
@@ -1104,8 +1098,8 @@ const std::vector<Verb>& verbs() {
          {"standard", "no-reference"}},
         {"ensemble", cmd_ensemble,
          {"regression", "bench-reps", "chaos", "uq", "seed", "edge", "steps",
-          "mem", "threads", "workers", "queue", "cache-dir", "max-failures",
-          "golden-dir", "dir", "o"},
+          "mem", "threads", "cache-dir", "max-failures", "golden-dir", "dir",
+          "o"},
          {"mc", "fail-fast", "timing"}},
         {"batch", cmd_batch,
          {"scheduler", "name", "nodes", "tasks-per-node", "gpus-per-node",

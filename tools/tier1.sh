@@ -150,9 +150,10 @@ fi
 # registry's thread-local shards are read concurrently by trace sampling
 # and crash dumps (TSan), and the log2 bucket arithmetic must stay
 # UB-free (UBSan). The "hybrid" label adds the ranks x threads
-# composition suites — work-stealing exactly-once, static/steal parity,
-# and the R x T bitwise sweep — so chunk stealing and team-bound rank
-# threads are raced under TSan every tier-1 run. MFCPP_SANITIZE=off
+# composition suites — work-stealing exactly-once and the R x T bitwise
+# sweep — so chunk stealing and team-bound rank threads are raced under
+# TSan every tier-1 run; the campaign engine's job cursor and stop flag
+# are raced through the "thread" label of test_ensemble. MFCPP_SANITIZE=off
 # skips (e.g. toolchains without TSan runtimes).
 if [ "${MFCPP_SANITIZE:-thread}" = "thread" ]; then
     TSAN_DIR="$BUILD_DIR-tsan"
