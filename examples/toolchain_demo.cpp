@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "ensemble/engine.hpp"
+#include "exec/exec.hpp"
 #include "toolchain/toolchain.hpp"
 
 int main() {
@@ -32,25 +34,37 @@ int main() {
     std::printf("\n== Step 2: ./mfc.sh build --gpu mp ==\n%s\n",
                 tc.build(env, "mp", /*case_optimization=*/true).summary().c_str());
 
-    std::printf("\n== Step 3: ./mfc.sh test (sampled; full suite is %zu "
-                "cases) ==\n",
-                generate_full_suite().size());
     const std::string golden_root =
         std::filesystem::temp_directory_path() / "mfcpp_demo_goldens";
     std::filesystem::remove_all(golden_root);
-    const TestSuite suite = tc.test_suite(golden_root);
-    std::vector<std::string> sample;
-    for (std::size_t i = 0; i < suite.cases().size(); i += 40) {
-        sample.push_back(suite.cases()[i].uuid);
-        std::printf("  %s  %s\n", suite.cases()[i].uuid.c_str(),
-                    suite.cases()[i].trace.c_str());
+    const TestSuite full = tc.test_suite(golden_root);
+    std::printf("\n== Step 3: ./mfc.sh test (sampled; full suite is %zu "
+                "cases) ==\n",
+                full.cases().size());
+    CaseList sample;
+    for (std::size_t i = 0; i < full.cases().size(); i += 40) {
+        sample.push_back(full.cases()[i]);
+        std::printf("  %s  %s\n", sample.back().uuid.c_str(),
+                    sample.back().trace.c_str());
     }
-    const SuiteSummary gen = suite.run_selected(sample, TestMode::Generate);
-    std::printf("  --generate: %d/%d golden files written\n", gen.passed,
+    // `mfc test` runs the selected cases as one campaign, one job per
+    // case, on the exec pool's workers.
+    const TestSuite suite(sample, golden_root);
+    const int threads = exec::num_threads();
+    exec::set_num_threads(4);
+    const auto run = [&](TestMode mode) {
+        ensemble::Engine engine(ensemble::EngineOptions{});
+        Yaml report;
+        return engine.run(ensemble::regression_jobs(suite, suite.cases(), mode),
+                          report);
+    };
+    const ensemble::CampaignSummary gen = run(TestMode::Generate);
+    std::printf("  --generate: %lld/%lld golden files written\n", gen.passed,
                 gen.total);
-    const SuiteSummary cmp = suite.run_selected(sample, TestMode::Compare);
-    std::printf("  compare:    %d/%d passed (tolerance 1e-12 abs & rel)\n",
+    const ensemble::CampaignSummary cmp = run(TestMode::Compare);
+    std::printf("  compare:    %lld/%lld passed (tolerance 1e-12 abs & rel)\n",
                 cmp.passed, cmp.total);
+    exec::set_num_threads(threads);
 
     std::printf("\n== Step 4: ./mfc.sh bench --mem <gb> -o bench.yml ==\n");
     const Yaml ref = tc.bench(2.0e-4, 1).run_all("bench --mem 2e-4 -n 1");

@@ -10,7 +10,6 @@
 #include "solver/simulation.hpp"
 #include "telemetry/telemetry.hpp"
 #include "toolchain/bench_suite.hpp"
-#include "toolchain/golden.hpp"
 
 namespace mfc::ensemble {
 
@@ -75,13 +74,10 @@ void run_simulation_job(const JobSpec& spec, JobResult& r) {
             post::pressure(config.layout(), config.fluids, sim.state()));
     }
     if (!spec.golden_path.empty()) {
-        const toolchain::GoldenFile golden =
-            toolchain::GoldenFile::load(spec.golden_path);
-        const toolchain::GoldenFile current(sim.flattened_outputs());
-        const toolchain::CompareResult cmp =
-            toolchain::compare_golden(golden, current);
-        r.passed = cmp.ok;
-        if (!cmp.ok) r.detail = cmp.message;
+        r.detail = toolchain::golden_step(
+            spec.mode, spec.golden_path, spec.trace, spec.params,
+            toolchain::GoldenFile(sim.flattened_outputs()));
+        r.passed = r.detail.empty();
     }
 }
 
@@ -149,6 +145,24 @@ JobResult execute_job(const JobSpec& spec) {
             telemetry::delta(before, telemetry::thread_zone_report()), r);
     }
     return r;
+}
+
+std::vector<JobSpec> regression_jobs(const toolchain::TestSuite& suite,
+                                     std::span<const toolchain::TestCaseDef> cases,
+                                     toolchain::TestMode mode) {
+    std::vector<JobSpec> jobs;
+    jobs.reserve(cases.size());
+    for (const toolchain::TestCaseDef& c : cases) {
+        JobSpec spec;
+        spec.kind = JobKind::Regression;
+        spec.id = "reg-" + c.uuid;
+        spec.params = c.params;
+        spec.golden_path = suite.golden_path(c.uuid);
+        spec.mode = mode;
+        spec.trace = c.trace;
+        jobs.push_back(std::move(spec));
+    }
+    return jobs;
 }
 
 } // namespace mfc::ensemble

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "solver/case_config.hpp"
+#include "toolchain/test_suite.hpp"
 
 namespace mfc::ensemble {
 
@@ -14,7 +16,7 @@ namespace mfc::ensemble {
 /// engine can schedule, hash for the result cache, and execute on any
 /// worker.
 enum class JobKind {
-    Regression, ///< run a suite case dictionary; pass = completes (+ golden match)
+    Regression, ///< run a suite case dictionary, then its golden step
     Bench,      ///< one timed repetition of a named benchmark case
     Chaos,      ///< a fault-injection trial recovered via checkpoints
     Uq,         ///< one sampled parameter point producing an observable field
@@ -30,8 +32,12 @@ struct JobSpec {
     std::string id;
     /// Case dictionary (regression, chaos, and UQ jobs).
     CaseDict params;
-    /// Golden file to compare against ("" = pass is run-to-completion).
+    /// Regression jobs: the golden ("" = pass is run-to-completion), what
+    /// toolchain::golden_step does with it, and the case's trace for the
+    /// golden-metadata.txt that Generate writes.
     std::string golden_path;
+    toolchain::TestMode mode = toolchain::TestMode::Compare;
+    std::string trace;
 
     // Bench jobs: named case from BenchSuite sized by mem_gb.
     std::string bench_case;
@@ -42,9 +48,12 @@ struct JobSpec {
     int chaos_ranks = 2;
     std::string scratch_dir = ".";
 
-    /// Bench timings change run to run; everything else is deterministic
-    /// and therefore cacheable.
-    [[nodiscard]] bool cacheable() const { return kind != JobKind::Bench; }
+    /// Bench timings change run to run, and a job that writes a golden
+    /// must run to write it; everything else is deterministic and
+    /// therefore cacheable.
+    [[nodiscard]] bool cacheable() const {
+        return kind != JobKind::Bench && mode == toolchain::TestMode::Compare;
+    }
 };
 
 /// Outcome of one executed (or cache-served) job. Only deterministic
@@ -80,5 +89,12 @@ struct JobResult {
 /// region degrades to inline-serial (the exec try-lock path), so campaign
 /// workers and pencil-kernel threads compose without deadlock.
 [[nodiscard]] JobResult execute_job(const JobSpec& spec);
+
+/// One regression job per case of `suite` in `cases`, in order: id
+/// `reg-<UUID>`, the case's parameters and trace, its golden under the
+/// suite's root, and `mode`. `mfc test` runs exactly these jobs.
+[[nodiscard]] std::vector<JobSpec> regression_jobs(
+    const toolchain::TestSuite& suite,
+    std::span<const toolchain::TestCaseDef> cases, toolchain::TestMode mode);
 
 } // namespace mfc::ensemble

@@ -428,7 +428,9 @@ void parallel_chunks(const char* label, int nchunks,
                      const std::function<void(int)>& chunk) {
     if (nchunks <= 0) return;
     Pool& pool = Pool::instance();
-    if (nchunks > 1 && pool.threads() > 1 &&
+    // Nested: inline with no team lookup, whose registry lock would nest
+    // inside this dispatcher's team lock (set_threads takes them reversed).
+    if (nchunks > 1 && pool.threads() > 1 && !t_in_parallel &&
         pool.current().dispatch(label, nchunks, chunk)) {
         return;
     }

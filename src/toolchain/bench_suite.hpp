@@ -58,7 +58,7 @@ struct BenchOptions {
     /// decomposed over R ranks of T worker threads, emitted as a
     /// `rank_thread_sweep:` section with the grindtime-optimal
     /// decomposition per case. Empty (the default) skips the sweep.
-    std::vector<std::pair<int, int>> rank_thread_grid;
+    std::vector<std::pair<int, int>> rank_thread_grid{};
 };
 
 /// Feasible R×T decompositions of this host for --ranks-threads auto:

@@ -108,12 +108,7 @@ GoldenFile GoldenFile::parse(const std::string& text) {
 }
 
 void GoldenFile::save(const std::string& path) const {
-    const std::string text = serialize();
-    std::ofstream out(path, std::ios::binary);
-    MFC_REQUIRE(out.good(), "GoldenFile: cannot write " + path);
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.close(); // flushes: a full disk fails here, not silently later
-    MFC_REQUIRE(!out.fail(), "GoldenFile: short write to " + path);
+    write_text_file(path, serialize());
 }
 
 GoldenFile GoldenFile::load(const std::string& path) {
@@ -192,6 +187,14 @@ GoldenFile add_new_variables(const GoldenFile& existing, const GoldenFile& fresh
         if (!merged.has(name)) merged.add(name, values);
     }
     return merged;
+}
+
+void write_text_file(const std::string& path, const std::string& text) {
+    std::ofstream out(path, std::ios::binary);
+    MFC_REQUIRE(out.good(), "cannot write " + path);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    out.close(); // flushes: a full disk fails here, not silently later
+    MFC_REQUIRE(!out.fail(), "short write to " + path);
 }
 
 std::string golden_metadata(const std::string& uuid, const std::string& trace,

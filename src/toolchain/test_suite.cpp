@@ -1,7 +1,7 @@
 #include "toolchain/test_suite.hpp"
 
+#include <exception>
 #include <filesystem>
-#include <fstream>
 
 #include "core/error.hpp"
 #include "solver/simulation.hpp"
@@ -9,6 +9,38 @@
 namespace mfc::toolchain {
 
 namespace fs = std::filesystem;
+
+std::string golden_step(TestMode mode, const std::string& golden_path,
+                        const std::string& trace, const CaseDict& params,
+                        const GoldenFile& current) {
+    // A golden or golden root that cannot be written, read or parsed
+    // fails this case with the path named; the rest of the suite runs.
+    try {
+        if (mode == TestMode::Generate) {
+            const fs::path dir = fs::path(golden_path).parent_path();
+            fs::create_directories(dir);
+            current.save(golden_path);
+            write_text_file((dir / "golden-metadata.txt").string(),
+                            golden_metadata(dir.filename().string(), trace,
+                                            canonical_dict(params)));
+            return "";
+        }
+        if (!fs::exists(golden_path)) {
+            return mode == TestMode::Compare
+                       ? "golden file missing (run with --generate first)"
+                       : "no golden file to update";
+        }
+        const GoldenFile golden = GoldenFile::load(golden_path);
+        if (mode == TestMode::AddNewVariables) {
+            add_new_variables(golden, current).save(golden_path);
+            return "";
+        }
+        const CompareResult r = compare_golden(golden, current);
+        return r.ok ? "" : r.message;
+    } catch (const std::exception& e) {
+        return e.what();
+    }
+}
 
 TestSuite::TestSuite(CaseList cases, std::string golden_root)
     : cases_(std::move(cases)), root_(std::move(golden_root)) {
@@ -27,10 +59,6 @@ std::string TestSuite::golden_path(const std::string& uuid) const {
     return root_ + "/" + uuid + "/golden.txt";
 }
 
-std::string TestSuite::metadata_path(const std::string& uuid) const {
-    return root_ + "/" + uuid + "/golden-metadata.txt";
-}
-
 GoldenFile TestSuite::execute_case(const CaseDict& params) {
     const CaseConfig config = config_from_dict(params);
     Simulation sim(config);
@@ -41,93 +69,14 @@ GoldenFile TestSuite::execute_case(const CaseDict& params) {
 
 TestOutcome TestSuite::run_case(const TestCaseDef& def, TestMode mode) const {
     TestOutcome out;
-    out.uuid = def.uuid;
-    out.trace = def.trace;
-    const std::string gpath = golden_path(def.uuid);
-
-    GoldenFile current;
     try {
-        current = execute_case(def.params);
+        out.detail = golden_step(mode, golden_path(def.uuid), def.trace,
+                                 def.params, execute_case(def.params));
     } catch (const Error& e) {
-        out.passed = false;
         out.detail = std::string("run failed: ") + e.what();
-        return out;
     }
-
-    // A golden that cannot be written, read or parsed fails this case
-    // with the file named; it does not abort the rest of the suite.
-    try {
-        switch (mode) {
-        case TestMode::Generate: {
-            fs::create_directories(fs::path(gpath).parent_path());
-            current.save(gpath);
-            std::ofstream meta(metadata_path(def.uuid));
-            meta << golden_metadata(def.uuid, def.trace, canonical_dict(def.params));
-            out.passed = true;
-            out.detail = "generated";
-            return out;
-        }
-        case TestMode::AddNewVariables: {
-            if (!fs::exists(gpath)) {
-                out.passed = false;
-                out.detail = "no golden file to update";
-                return out;
-            }
-            const GoldenFile merged = add_new_variables(GoldenFile::load(gpath), current);
-            merged.save(gpath);
-            out.passed = true;
-            out.detail = "updated";
-            return out;
-        }
-        case TestMode::Compare: {
-            if (!fs::exists(gpath)) {
-                out.passed = false;
-                out.detail = "golden file missing (run with --generate first)";
-                return out;
-            }
-            const CompareResult r = compare_golden(GoldenFile::load(gpath), current);
-            out.passed = r.ok;
-            out.detail = r.ok ? "pass" : r.message;
-            return out;
-        }
-        }
-    } catch (const Error& e) {
-        out.passed = false;
-        out.detail = e.what();
-        return out;
-    }
-    MFC_ASSERT(false);
-}
-
-SuiteSummary TestSuite::run_all(TestMode mode) const {
-    SuiteSummary s;
-    for (const TestCaseDef& def : cases_) {
-        const TestOutcome o = run_case(def, mode);
-        ++s.total;
-        if (o.passed) {
-            ++s.passed;
-        } else {
-            ++s.failed;
-            s.failures.push_back(o);
-        }
-    }
-    return s;
-}
-
-SuiteSummary TestSuite::run_selected(const std::vector<std::string>& uuids,
-                                     TestMode mode) const {
-    SuiteSummary s;
-    for (const std::string& uuid : uuids) {
-        const TestOutcome o = run_case(case_by_uuid(uuid), mode);
-        ++s.total;
-        if (o.passed) {
-            ++s.passed;
-        } else {
-            ++s.failed;
-            s.failures.push_back(o);
-        }
-    }
-    return s;
+    out.passed = out.detail.empty();
+    return out;
 }
 
 } // namespace mfc::toolchain

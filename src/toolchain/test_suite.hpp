@@ -1,7 +1,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "toolchain/case_generators.hpp"
 #include "toolchain/golden.hpp"
@@ -16,22 +15,26 @@ enum class TestMode {
 };
 
 struct TestOutcome {
-    std::string uuid;
-    std::string trace;
     bool passed = false;
-    std::string detail; ///< failure reason or "generated"/"updated"
+    std::string detail; ///< why the case failed; empty when it passed
 };
 
-struct SuiteSummary {
-    int total = 0;
-    int passed = 0;
-    int failed = 0;
-    std::vector<TestOutcome> failures;
-};
+/// The golden step of one regression case, given its fresh outputs
+/// `current`; TestSuite::run_case and every ensemble regression job call
+/// it. `golden_path` is `<root>/<UUID>/golden.txt`: Generate creates its
+/// directory and writes golden-metadata.txt beside it (the directory
+/// names the UUID). Never throws: returns "" when the case passes,
+/// otherwise why it failed, naming the path on any I/O or file-system
+/// error.
+[[nodiscard]] std::string golden_step(TestMode mode,
+                                      const std::string& golden_path,
+                                      const std::string& trace,
+                                      const CaseDict& params,
+                                      const GoldenFile& current);
 
-/// Regression-test runner: executes each case's simulation serially and
-/// manages its golden directory `<root>/<UUID>/golden.txt` (plus
-/// golden-metadata.txt), following the layout Section 4 describes.
+/// The regression suite: its cases and their golden directories
+/// `<root>/<UUID>/golden.txt` (plus golden-metadata.txt), following the
+/// layout Section 4 describes. `mfc test` runs them as one campaign.
 class TestSuite {
 public:
     TestSuite(CaseList cases, std::string golden_root);
@@ -41,16 +44,10 @@ public:
     /// Locate a case by UUID (the `-o <UUID>` selector); throws if absent.
     [[nodiscard]] const TestCaseDef& case_by_uuid(const std::string& uuid) const;
 
-    /// Run one case under the given mode.
+    /// Run one case under the given mode: execute_case, then golden_step.
     [[nodiscard]] TestOutcome run_case(const TestCaseDef& def, TestMode mode) const;
 
-    /// Run every case (or the subset whose UUIDs are given).
-    [[nodiscard]] SuiteSummary run_all(TestMode mode) const;
-    [[nodiscard]] SuiteSummary run_selected(const std::vector<std::string>& uuids,
-                                            TestMode mode) const;
-
     [[nodiscard]] std::string golden_path(const std::string& uuid) const;
-    [[nodiscard]] std::string metadata_path(const std::string& uuid) const;
 
     /// Execute a case dictionary and collect its flattened outputs — the
     /// simulation step shared by every mode.

@@ -377,8 +377,12 @@ TEST(Cart, NonPeriodicEdgesAreProcNull) {
     World world(4);
     world.run([](Communicator& c) {
         CartComm cart(c, {4, 1, 1}, {false, false, false});
-        if (cart.coords()[0] == 0) EXPECT_EQ(cart.neighbor(0, -1), kProcNull);
-        if (cart.coords()[0] == 3) EXPECT_EQ(cart.neighbor(0, +1), kProcNull);
+        if (cart.coords()[0] == 0) {
+            EXPECT_EQ(cart.neighbor(0, -1), kProcNull);
+        }
+        if (cart.coords()[0] == 3) {
+            EXPECT_EQ(cart.neighbor(0, +1), kProcNull);
+        }
         // Inactive dimensions have trivial self/periodic behavior guarded
         // by dims==1; non-periodic gives ProcNull.
         EXPECT_EQ(cart.neighbor(1, +1), kProcNull);

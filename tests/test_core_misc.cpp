@@ -154,7 +154,7 @@ TEST(StateArray, PerEquationFields) {
 TEST(Timer, MeasuresNonNegativeTime) {
     const Timer t;
     volatile double x = 0.0;
-    for (int i = 0; i < 10000; ++i) x += static_cast<double>(i);
+    for (int i = 0; i < 10000; ++i) x = x + static_cast<double>(i);
     EXPECT_GE(t.seconds(), 0.0);
     EXPECT_GE(t.nanoseconds(), t.seconds()); // ns >= s numerically
 }

@@ -332,6 +332,35 @@ TEST(EnsembleCache, CorruptedOrMismatchedEntriesAreMisses) {
     fs::remove_all(dir);
 }
 
+// A regression job that writes its golden must run to write it, so a
+// warm cache never serves it; its mode and trace stay out of the key.
+TEST(EnsembleCache, GoldenWritingJobsAlwaysRun) {
+    const std::string dir = unique_dir("mfc_ens_generate");
+    JobSpec spec = tiny_job(JobKind::Regression, "reg-0000ABCD");
+    const std::uint64_t key = job_key(spec);
+    spec.golden_path = dir + "/goldens/0000ABCD/golden.txt";
+    spec.trace = "tiny";
+    spec.mode = toolchain::TestMode::Generate;
+    EXPECT_FALSE(spec.cacheable());
+    JobSpec keyed = spec;
+    keyed.golden_path.clear();
+    EXPECT_EQ(job_key(keyed), key);
+
+    EngineOptions opts;
+    opts.cache_dir = dir + "/cache";
+    for (int run = 0; run < 2; ++run) {
+        fs::remove_all(dir + "/goldens");
+        Engine engine(opts);
+        Yaml report;
+        const CampaignSummary s = engine.run({spec}, report);
+        EXPECT_TRUE(s.ok()) << "run " << run;
+        EXPECT_EQ(s.cached, 0) << "run " << run;
+        EXPECT_TRUE(fs::exists(spec.golden_path)) << "run " << run;
+        EXPECT_TRUE(fs::exists(dir + "/goldens/0000ABCD/golden-metadata.txt"));
+    }
+    fs::remove_all(dir);
+}
+
 // ------------------------------------------------------------------- uq
 
 TEST(EnsembleUq, LatinHypercubeStratifiesEveryDimension) {

@@ -1,8 +1,9 @@
 // Integration: the complete regression-suite round trip, end to end —
-// generate golden files for EVERY generated case (558 at last count, all
+// generate golden files for EVERY generated case (588 at last count, all
 // executed through the real solver) and then re-run the whole suite in
 // compare mode, as `./mfc.sh test --generate` followed by `./mfc.sh test`
-// would on a new machine (Section 3, steps 3).
+// would on a new machine (Section 3, steps 3): one campaign of the
+// suite's regression jobs per mode, on four workers.
 
 #include "core/error.hpp"
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <cmath>
 #include <filesystem>
 
+#include "ensemble/engine.hpp"
+#include "exec/exec.hpp"
 #include "toolchain/test_suite.hpp"
 #include "toolchain/toolchain.hpp"
 
@@ -18,6 +21,33 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Reports the first nine failed cases as test failures (capping the
+/// noise); job i is case i of `cases`.
+class ReportFailures : public ensemble::Consumer {
+public:
+    explicit ReportFailures(const CaseList& cases) : cases_(cases) {}
+
+    void on_result(const ensemble::JobResult& r) override {
+        if (r.passed || ++failed_ > 9) return;
+        const TestCaseDef& c = cases_[static_cast<std::size_t>(r.index)];
+        ADD_FAILURE() << c.uuid << "  " << c.trace << ": " << r.detail;
+    }
+
+private:
+    const CaseList& cases_;
+    int failed_ = 0;
+};
+
+/// Every case of `suite` under `mode`, as one campaign.
+ensemble::CampaignSummary run_suite(const TestSuite& suite, TestMode mode) {
+    ensemble::Engine engine(ensemble::EngineOptions{});
+    ReportFailures failures(suite.cases());
+    engine.add_consumer(&failures);
+    Yaml report;
+    return engine.run(ensemble::regression_jobs(suite, suite.cases(), mode),
+                      report);
+}
+
 TEST(IntegrationSuite, FullGenerateThenCompareCycle) {
     const std::string root = testing::TempDir() + "/mfcpp_full_suite";
     fs::remove_all(root);
@@ -25,15 +55,13 @@ TEST(IntegrationSuite, FullGenerateThenCompareCycle) {
     const Toolchain tc;
     const TestSuite suite = tc.test_suite(root);
     ASSERT_GT(suite.cases().size(), 500u);
+    const int threads = exec::num_threads();
+    exec::set_num_threads(4);
 
     // Step 3a: --generate for every case. A failure here means some
     // feature combination crashed or produced non-finite output.
-    const SuiteSummary gen = suite.run_all(TestMode::Generate);
+    const ensemble::CampaignSummary gen = run_suite(suite, TestMode::Generate);
     EXPECT_EQ(gen.failed, 0);
-    for (const TestOutcome& f : gen.failures) {
-        ADD_FAILURE() << f.uuid << "  " << f.trace << ": " << f.detail;
-        if (&f - gen.failures.data() > 8) break; // cap the noise
-    }
 
     // Every case produced its golden pair.
     std::size_t golden_count = 0;
@@ -47,14 +75,11 @@ TEST(IntegrationSuite, FullGenerateThenCompareCycle) {
 
     // Step 3b: plain `test` — everything must compare clean against the
     // goldens just written (determinism of the entire stack).
-    const SuiteSummary cmp = suite.run_all(TestMode::Compare);
+    const ensemble::CampaignSummary cmp = run_suite(suite, TestMode::Compare);
     EXPECT_EQ(cmp.failed, 0);
-    EXPECT_EQ(cmp.passed, static_cast<int>(suite.cases().size()));
-    for (const TestOutcome& f : cmp.failures) {
-        ADD_FAILURE() << f.uuid << "  " << f.trace << ": " << f.detail;
-        if (&f - cmp.failures.data() > 8) break;
-    }
+    EXPECT_EQ(cmp.passed, static_cast<long long>(suite.cases().size()));
 
+    exec::set_num_threads(threads);
     fs::remove_all(root);
 }
 

@@ -81,7 +81,7 @@ TEST(Bench, YamlSummaryShape) {
 TEST(Bench, InvalidArgumentsThrow) {
     EXPECT_THROW(BenchSuite(-1.0, 1), Error);
     EXPECT_THROW(BenchSuite(1.0, 0), Error);
-    EXPECT_THROW(BenchSuite(1.0, 1, BenchOptions{-1, true}), Error);
+    EXPECT_THROW(BenchSuite(1.0, 1, BenchOptions{.warmup_steps = -1, .profile = true}), Error);
 }
 
 TEST(Bench, ProfiledRunDecomposesGrindtime) {
@@ -100,7 +100,7 @@ TEST(Bench, ProfiledRunDecomposesGrindtime) {
 }
 
 TEST(Bench, ProfilingCanBeDisabled) {
-    const BenchSuite suite(kTinyMem, 1, BenchOptions{1, false});
+    const BenchSuite suite(kTinyMem, 1, BenchOptions{.warmup_steps = 1, .profile = false});
     const BenchCaseResult r = suite.run_case("5eq_weno5_hllc");
     EXPECT_TRUE(r.phases.empty());
     EXPECT_GT(r.grindtime_ns, 0.0);

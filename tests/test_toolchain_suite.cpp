@@ -4,7 +4,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <utility>
+#include <vector>
 
+#include "ensemble/engine.hpp"
+#include "exec/exec.hpp"
 #include "toolchain/test_suite.hpp"
 #include "solver/simulation.hpp"
 #include "toolchain/toolchain.hpp"
@@ -13,6 +18,46 @@ namespace mfc::toolchain {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Scoped exec thread-count override restoring the previous value.
+class ThreadGuard {
+public:
+    explicit ThreadGuard(int n) : prev_(exec::num_threads()) {
+        exec::set_num_threads(n);
+    }
+    ~ThreadGuard() { exec::set_num_threads(prev_); }
+    ThreadGuard(const ThreadGuard&) = delete;
+    ThreadGuard& operator=(const ThreadGuard&) = delete;
+
+private:
+    int prev_;
+};
+
+/// Each failed job's index and detail, in delivery order.
+class FailureLog : public ensemble::Consumer {
+public:
+    void on_result(const ensemble::JobResult& r) override {
+        if (!r.passed) failures.emplace_back(r.index, r.detail);
+    }
+    [[nodiscard]] std::string first() const {
+        return failures.empty() ? "" : failures.front().second;
+    }
+
+    std::vector<std::pair<long long, std::string>> failures;
+};
+
+/// Run `cases` of `suite` under `mode` as one campaign on `threads`
+/// workers, as `mfc test` does.
+ensemble::CampaignSummary run_campaign(const TestSuite& suite,
+                                       std::span<const TestCaseDef> cases,
+                                       TestMode mode, FailureLog& log,
+                                       int threads = 4) {
+    const ThreadGuard guard(threads);
+    ensemble::Engine engine(ensemble::EngineOptions{});
+    engine.add_consumer(&log);
+    Yaml report;
+    return engine.run(ensemble::regression_jobs(suite, cases, mode), report);
+}
 
 class SuiteWorkflow : public testing::Test {
 protected:
@@ -46,18 +91,16 @@ TEST_F(SuiteWorkflow, CompareWithoutGoldenFails) {
 
 TEST_F(SuiteWorkflow, GenerateThenCompareAllPass) {
     const TestSuite suite(sample_cases(), root_);
-    const SuiteSummary gen = suite.run_all(TestMode::Generate);
-    EXPECT_EQ(gen.failed, 0) << (gen.failures.empty()
-                                     ? ""
-                                     : gen.failures.front().trace + ": " +
-                                           gen.failures.front().detail);
-    EXPECT_EQ(gen.total, static_cast<int>(suite.cases().size()));
+    FailureLog gen_log;
+    const ensemble::CampaignSummary gen =
+        run_campaign(suite, suite.cases(), TestMode::Generate, gen_log);
+    EXPECT_EQ(gen.failed, 0) << gen_log.first();
+    EXPECT_EQ(gen.total, static_cast<long long>(suite.cases().size()));
 
-    const SuiteSummary cmp = suite.run_all(TestMode::Compare);
-    EXPECT_EQ(cmp.failed, 0) << (cmp.failures.empty()
-                                     ? ""
-                                     : cmp.failures.front().trace + ": " +
-                                           cmp.failures.front().detail);
+    FailureLog cmp_log;
+    const ensemble::CampaignSummary cmp =
+        run_campaign(suite, suite.cases(), TestMode::Compare, cmp_log);
+    EXPECT_EQ(cmp.failed, 0) << cmp_log.first();
     EXPECT_EQ(cmp.passed, cmp.total);
 }
 
@@ -121,6 +164,42 @@ TEST_F(SuiteWorkflow, GoldenWriteToAFullDeviceFails) {
     EXPECT_NE(o.detail.find(gpath), std::string::npos) << o.detail;
 }
 
+// golden-metadata.txt is written and checked like the golden: a path
+// that cannot be opened, or a write that does not reach the file, fails
+// the case naming the file.
+TEST_F(SuiteWorkflow, MetadataWriteToADirectoryFails) {
+    const TestSuite suite(sample_cases(), root_);
+    const TestCaseDef& def = suite.cases().front();
+    const std::string meta = root_ + "/" + def.uuid + "/golden-metadata.txt";
+    fs::create_directories(meta);
+    const TestOutcome o = suite.run_case(def, TestMode::Generate);
+    EXPECT_FALSE(o.passed);
+    EXPECT_NE(o.detail.find(meta), std::string::npos) << o.detail;
+}
+
+TEST_F(SuiteWorkflow, MetadataWriteToAFullDeviceFails) {
+    if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    const TestSuite suite(sample_cases(), root_);
+    const TestCaseDef& def = suite.cases().front();
+    const std::string meta = root_ + "/" + def.uuid + "/golden-metadata.txt";
+    fs::create_directories(fs::path(meta).parent_path());
+    fs::create_symlink("/dev/full", meta);
+    const TestOutcome o = suite.run_case(def, TestMode::Generate);
+    EXPECT_FALSE(o.passed);
+    EXPECT_NE(o.detail.find(meta), std::string::npos) << o.detail;
+}
+
+// A golden root that is a regular file cannot hold a case directory:
+// the case fails naming the path instead of throwing out of run_case.
+TEST_F(SuiteWorkflow, GoldenRootThatIsAFileFailsNamingThePath) {
+    std::ofstream(root_).close();
+    const TestSuite suite(sample_cases(), root_);
+    const TestOutcome o =
+        suite.run_case(suite.cases().front(), TestMode::Generate);
+    EXPECT_FALSE(o.passed);
+    EXPECT_NE(o.detail.find(root_), std::string::npos) << o.detail;
+}
+
 TEST_F(SuiteWorkflow, AddNewVariablesPreservesExisting) {
     const TestSuite suite(sample_cases(), root_);
     const TestCaseDef& def = suite.cases().front();
@@ -155,11 +234,66 @@ TEST_F(SuiteWorkflow, AddNewVariablesWithoutGoldenFails) {
 TEST_F(SuiteWorkflow, RunSelectedByUuid) {
     const TestSuite suite(sample_cases(), root_);
     const std::string uuid = suite.cases()[1].uuid;
-    const SuiteSummary s = suite.run_selected({uuid}, TestMode::Generate);
+    FailureLog log;
+    const ensemble::CampaignSummary s = run_campaign(
+        suite, std::span(&suite.case_by_uuid(uuid), 1), TestMode::Generate,
+        log);
     EXPECT_EQ(s.total, 1);
-    EXPECT_EQ(s.passed, 1);
+    EXPECT_EQ(s.passed, 1) << log.first();
     EXPECT_TRUE(fs::exists(suite.golden_path(uuid)));
+    // Only the selected case's directory was written.
+    EXPECT_EQ(std::distance(fs::directory_iterator(root_),
+                            fs::directory_iterator()),
+              1);
     EXPECT_THROW((void)suite.case_by_uuid("00000000"), Error);
+}
+
+// `mfc test` prints its FAIL lines from a consumer as results arrive.
+// On a damaged golden set the failures arrive in case order, with the
+// same details, at one thread and at four.
+TEST_F(SuiteWorkflow, FailuresArriveInCaseOrderAtAnyThreadCount) {
+    const CaseList all = generate_full_suite();
+    CaseList cases;
+    for (std::size_t i = 0; cases.size() < 24; i += all.size() / 24) {
+        cases.push_back(all[i]);
+    }
+    const TestSuite suite(cases, root_);
+    FailureLog gen;
+    ASSERT_EQ(run_campaign(suite, suite.cases(), TestMode::Generate, gen)
+                  .failed,
+              0)
+        << gen.first();
+
+    const auto golden = [&](std::size_t i) {
+        return suite.golden_path(suite.cases()[i].uuid);
+    };
+    for (const std::size_t i : {3, 11, 19}) {
+        auto entries = GoldenFile::load(golden(i)).entries();
+        entries.front().second.front() += 1.0;
+        GoldenFile(entries).save(golden(i));
+    }
+    std::ofstream(golden(7), std::ios::trunc).close();
+    fs::remove(golden(15));
+
+    std::vector<std::pair<long long, std::string>> seen[2];
+    const int threads[2] = {1, 4};
+    for (int t = 0; t < 2; ++t) {
+        FailureLog log;
+        const ensemble::CampaignSummary s = run_campaign(
+            suite, suite.cases(), TestMode::Compare, log, threads[t]);
+        EXPECT_EQ(s.failed, 5) << "threads " << threads[t];
+        seen[t] = log.failures;
+    }
+    EXPECT_EQ(seen[0], seen[1]);
+    std::vector<long long> order;
+    for (const auto& f : seen[0]) order.push_back(f.first);
+    EXPECT_EQ(order, (std::vector<long long>{3, 7, 11, 15, 19}));
+    ASSERT_EQ(seen[0].size(), 5u);
+    EXPECT_NE(seen[0][1].second.find(golden(7)), std::string::npos)
+        << seen[0][1].second;
+    EXPECT_NE(seen[0][3].second.find("golden file missing"),
+              std::string::npos)
+        << seen[0][3].second;
 }
 
 TEST_F(SuiteWorkflow, GoldenOutputIsDeterministic) {

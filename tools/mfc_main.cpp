@@ -6,7 +6,7 @@
 //   mfc load -c <system> -m <cpu|gpu>          modules + environment plan
 //   mfc build -c <sys> -m <cpu|gpu> [--gpu acc|mp] [--case-optimization]
 //   mfc test [--list] [--generate|--add-new-variables]
-//            [-o <UUID>]... [--golden-dir <dir>] [--max <n>]
+//            [-o <UUID>] [--golden-dir <dir>] [--max <n>]
 //   mfc bench --mem <gb/rank> -n <ranks> [-o <out.yml>]
 //   mfc bench_diff <ref.yml> <new.yml>
 //   mfc ensemble [--regression N] [--bench-reps N] [--chaos N] [--uq N]
@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,7 @@ using namespace mfc::toolchain;
 
 /// Flag parser for one verb: `--name value` for the verb's value flags,
 /// `--name` for its switches (and --help), positionals otherwise. Any
-/// other flag is an error that names it.
+/// other flag, and a flag given twice, is an error that names it.
 class Args {
 public:
     Args(int argc, char** argv, const std::vector<std::string>& values,
@@ -63,6 +64,7 @@ public:
             const std::string a = argv[i];
             if (a.rfind("--", 0) == 0 || (a.size() == 2 && a[0] == '-')) {
                 const std::string name = a.substr(a[1] == '-' ? 2 : 1);
+                MFC_REQUIRE(!has(name), "flag " + a + " given twice");
                 if (name == "help" || listed(switches, name)) {
                     flags_[name] = "1";
                 } else if (listed(values, name)) {
@@ -130,12 +132,31 @@ int cmd_build(const Args& args) {
     return 0;
 }
 
+/// Prints `FAIL <UUID>  <trace>: <detail>` for each failed case. The
+/// engine delivers results in job order, and job i is case i.
+class FailureLines : public ensemble::Consumer {
+public:
+    explicit FailureLines(std::span<const TestCaseDef> cases) : cases_(cases) {}
+
+    void on_result(const ensemble::JobResult& r) override {
+        if (r.passed) return;
+        const TestCaseDef& c = cases_[static_cast<std::size_t>(r.index)];
+        std::printf("FAIL %s  %s: %s\n", c.uuid.c_str(), c.trace.c_str(),
+                    r.detail.c_str());
+    }
+
+private:
+    std::span<const TestCaseDef> cases_;
+};
+
 int cmd_test(const Args& args) {
     if (args.has("help")) {
         std::printf(
             "mfc test [--list] [--generate | --add-new-variables] [-o <UUID>]\n"
             "         [--golden-dir <dir>] [--max <n>]\n\n"
-            "Runs the regression suite against golden files (Section 4).\n");
+            "Runs the regression suite against golden files (Section 4):\n"
+            "every case, the one -o names, or the first --max, as one\n"
+            "campaign on MFC_NUM_THREADS workers (default 1).\n");
         return 0;
     }
     const Toolchain tc;
@@ -153,24 +174,23 @@ int cmd_test(const Args& args) {
     if (args.has("generate")) mode = TestMode::Generate;
     if (args.has("add-new-variables")) mode = TestMode::AddNewVariables;
 
-    std::vector<std::string> uuids;
-    if (args.has("o")) uuids.push_back(args.get("o"));
-    if (uuids.empty()) {
-        const std::size_t max_cases =
-            args.has("max") ? static_cast<std::size_t>(parse_int(args.get("max")))
-                            : suite.cases().size();
-        for (std::size_t i = 0; i < suite.cases().size() && i < max_cases; ++i) {
-            uuids.push_back(suite.cases()[i].uuid);
-        }
+    std::span<const TestCaseDef> cases = suite.cases();
+    if (args.has("o")) {
+        cases = std::span(&suite.case_by_uuid(args.get("o")), 1);
+    } else if (args.has("max")) {
+        const long long max = parse_int(args.get("max"));
+        MFC_REQUIRE(max >= 0, "--max must not be negative: " + args.get("max"));
+        cases = cases.first(std::min(cases.size(), static_cast<std::size_t>(max)));
     }
 
-    const SuiteSummary s = suite.run_selected(uuids, mode);
-    for (const TestOutcome& f : s.failures) {
-        std::printf("FAIL %s  %s: %s\n", f.uuid.c_str(), f.trace.c_str(),
-                    f.detail.c_str());
-    }
-    std::printf("%d/%d passed\n", s.passed, s.total);
-    return s.failed == 0 ? 0 : 1;
+    ensemble::Engine engine(ensemble::EngineOptions{});
+    FailureLines failures(cases);
+    engine.add_consumer(&failures);
+    Yaml report;
+    const ensemble::CampaignSummary s =
+        engine.run(ensemble::regression_jobs(suite, cases, mode), report);
+    std::printf("%lld/%lld passed\n", s.passed, s.total);
+    return s.ok() ? 0 : 1;
 }
 
 int cmd_bench(const Args& args) {
@@ -810,24 +830,19 @@ int cmd_ensemble(const Args& args) {
     const int n_uq = static_cast<int>(parse_int(args.get("uq", "32")));
 
     std::vector<ensemble::JobSpec> jobs;
-    int reg_added = 0;
     if (n_regression > 0) {
-        const Toolchain tc;
-        const TestSuite suite = tc.test_suite(args.get("golden-dir", "goldens"));
-        const std::size_t n = std::min(static_cast<std::size_t>(n_regression),
-                                       suite.cases().size());
-        for (std::size_t i = 0; i < n; ++i) {
-            const TestCaseDef& c = suite.cases()[i];
-            ensemble::JobSpec spec;
-            spec.kind = ensemble::JobKind::Regression;
-            spec.id = "reg-" + c.uuid;
-            spec.params = c.params;
-            const std::string golden = suite.golden_path(c.uuid);
-            if (std::filesystem::exists(golden)) spec.golden_path = golden;
-            jobs.push_back(std::move(spec));
-            ++reg_added;
+        const TestSuite suite =
+            Toolchain().test_suite(args.get("golden-dir", "goldens"));
+        const std::size_t n = std::min(suite.cases().size(),
+                                       static_cast<std::size_t>(n_regression));
+        jobs = ensemble::regression_jobs(
+            suite, std::span(suite.cases()).first(n), TestMode::Compare);
+        for (ensemble::JobSpec& spec : jobs) {
+            // A case with no golden passes on completion.
+            if (!std::filesystem::exists(spec.golden_path)) spec.golden_path.clear();
         }
     }
+    const int reg_added = static_cast<int>(jobs.size());
     const double mem = parse_double(args.get("mem", "0.0002"));
     for (int rep = 1; rep <= bench_reps; ++rep) {
         for (const std::string& name : BenchSuite::case_names()) {
