@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <fstream>
 
 #include "core/error.hpp"
 
@@ -121,6 +122,14 @@ double parse_double(std::string_view s) {
         fail("parse_double: not a number: '" + std::string(t) + "'");
     }
     return value;
+}
+
+void write_text_file(const std::string& path, const std::string& text) {
+    std::ofstream out(path, std::ios::binary);
+    MFC_REQUIRE(out.good(), "cannot write " + path);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    out.close(); // flushes: a full disk fails here, not silently later
+    MFC_REQUIRE(!out.fail(), "short write to " + path);
 }
 
 } // namespace mfc

@@ -48,4 +48,9 @@ char* format_sci(char* out, double v);
 [[nodiscard]] long long parse_int(std::string_view s);
 [[nodiscard]] double parse_double(std::string_view s);
 
+/// Write `text` to `path`; throws mfc::Error naming the file when it cannot
+/// be opened (a directory) or the write does not reach it whole (a full
+/// device). The one text writer of YAML, case and golden files.
+void write_text_file(const std::string& path, const std::string& text);
+
 } // namespace mfc

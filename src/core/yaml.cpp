@@ -160,11 +160,7 @@ Yaml Yaml::parse(const std::string& text) {
     return root;
 }
 
-void Yaml::save(const std::string& path) const {
-    std::ofstream out(path);
-    MFC_REQUIRE(out.good(), "Yaml: cannot open for write: " + path);
-    out << dump();
-}
+void Yaml::save(const std::string& path) const { write_text_file(path, dump()); }
 
 Yaml Yaml::load(const std::string& path) {
     std::ifstream in(path);

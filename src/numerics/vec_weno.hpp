@@ -29,28 +29,31 @@ inline simd::vd<W> weno_map_v(simd::vd<W> w, double d) {
 
 /// Combine K candidate values with variant-dependent nonlinear weights.
 /// `ideal` and `beta` are the ideal weights and smoothness indicators;
-/// `tau` is the WENO-Z global indicator (unused for JS/M).
+/// `tau` is the WENO-Z global indicator (unused for JS/M). Always inlined,
+/// so the two edges of a cell share the divide they have in common (the
+/// middle JS weight) in every build type.
 template <int W, int K>
-inline simd::vd<W> combine_v(const simd::vd<W> (&q)[K], const double (&ideal)[K],
-                             const simd::vd<W> (&beta)[K], double eps,
-                             simd::vd<W> tau, WenoVariant variant) {
+[[gnu::always_inline]] inline simd::vd<W>
+combine_v(const simd::vd<W> (&q)[K], const double (&ideal)[K],
+          const simd::vd<W> (&beta)[K], double eps, simd::vd<W> tau,
+          WenoVariant variant) {
     using V = simd::vd<W>;
     V a[K];
-    V sum = 0.0;
-    for (int i = 0; i < K; ++i) {
-        switch (variant) {
-        case WenoVariant::JS:
+    switch (variant) {
+    case WenoVariant::JS:
+    case WenoVariant::M:
+        for (int i = 0; i < K; ++i)
             a[i] = V(ideal[i]) / ((V(eps) + beta[i]) * (V(eps) + beta[i]));
-            break;
-        case WenoVariant::M:
-            a[i] = V(ideal[i]) / ((V(eps) + beta[i]) * (V(eps) + beta[i]));
-            break;
-        case WenoVariant::Z:
+        break;
+    case WenoVariant::Z:
+        for (int i = 0; i < K; ++i)
             a[i] = V(ideal[i]) * (V(1.0) + tau / (beta[i] + V(eps)));
-            break;
-        }
-        sum += a[i];
+        break;
+    default:
+        MFC_ASSERT(false);
     }
+    V sum = 0.0;
+    for (int i = 0; i < K; ++i) sum += a[i];
     if (variant == WenoVariant::M) {
         // Normalize the JS weights, map, and renormalize.
         V mapped_sum = 0.0;
@@ -133,19 +136,23 @@ inline void weno_edges_v(const double* v, int order, double eps,
                           ? simd::select(beta[0] > beta[2], beta[0] - beta[2],
                                          beta[2] - beta[0])
                           : V(0.0);
+        // The six candidate polynomials divide by the constant 6 without
+        // the divider, bit for bit (simd::div_exact).
         // Right edge (x_{i+1/2}-): ideal weights (0.1, 0.6, 0.3).
         {
-            const V q[3] = {(V(2.0) * vm2 - V(7.0) * vm1 + V(11.0) * v0) / V(6.0),
-                            (-vm1 + V(5.0) * v0 + V(2.0) * v1) / V(6.0),
-                            (V(2.0) * v0 + V(5.0) * v1 - v2) / V(6.0)};
+            const V q[3] = {
+                simd::div_exact<6>(V(2.0) * vm2 - V(7.0) * vm1 + V(11.0) * v0),
+                simd::div_exact<6>(-vm1 + V(5.0) * v0 + V(2.0) * v1),
+                simd::div_exact<6>(V(2.0) * v0 + V(5.0) * v1 - v2)};
             const double ideal[3] = {0.1, 0.6, 0.3};
             right = detail::combine_v<W, 3>(q, ideal, beta, eps, tau, variant);
         }
         // Left edge (x_{i-1/2}+): mirrored stencils and indicators.
         {
-            const V q[3] = {(V(2.0) * v2 - V(7.0) * v1 + V(11.0) * v0) / V(6.0),
-                            (-v1 + V(5.0) * v0 + V(2.0) * vm1) / V(6.0),
-                            (V(2.0) * v0 + V(5.0) * vm1 - vm2) / V(6.0)};
+            const V q[3] = {
+                simd::div_exact<6>(V(2.0) * v2 - V(7.0) * v1 + V(11.0) * v0),
+                simd::div_exact<6>(-v1 + V(5.0) * v0 + V(2.0) * vm1),
+                simd::div_exact<6>(V(2.0) * v0 + V(5.0) * vm1 - vm2)};
             const double ideal[3] = {0.1, 0.6, 0.3};
             const V beta_m[3] = {beta[2], beta[1], beta[0]};
             left = detail::combine_v<W, 3>(q, ideal, beta_m, eps, tau, variant);

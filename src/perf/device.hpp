@@ -33,6 +33,9 @@ struct DeviceSpec {
     double eff_bw = 1.0;
     double eff_flops = 0.3;
     double paper_grindtime_ns = 0.0; ///< Table 3 "Time" reference value
+    /// Sustained FP64 divides (or square roots) per ns; 0 leaves the
+    /// divider out of the model (the Table 3 devices).
+    double fp64_div_per_ns = 0.0;
 };
 
 /// The full Table 3 catalog (49 platforms), ordered as in the paper

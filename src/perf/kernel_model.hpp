@@ -44,23 +44,57 @@ struct KernelModel {
     }
 };
 
+/// The ceiling a kernel's modeled time comes from.
+enum class KernelBound { Memory, Flops, Divider };
+
+[[nodiscard]] const char* to_string(KernelBound b);
+
 /// Roofline cost of one standalone pencil kernel, per row cell — the
 /// per-kernel analogue of KernelModel's whole-RHS unit. `bytes_per_cell`
 /// counts the effective streaming traffic of the kernel's inputs and
 /// outputs (stencil reads count once: consecutive cells reuse them);
-/// `flops_per_cell` the FP64 operations on the taken path. `mfc ubench`
-/// compares each kernel's measured ns/cell against ns_per_cell() on
-/// reference_core() to localize which kernel left the roofline.
+/// `flops_per_cell` the FP64 operations on the taken path;
+/// `divs_per_cell` and `sqrts_per_cell` the divides and square roots on
+/// it, counted from the kernel source (identical divides that inlining
+/// shares count once). The divider is only partly pipelined, so on a core
+/// it is a third ceiling next to bandwidth and FLOP rate. `mfc ubench` compares
+/// each kernel's measured ns/cell against ns_per_cell() on
+/// reference_core() and names the ceiling that binds.
 struct KernelCost {
     double bytes_per_cell = 0.0;
     double flops_per_cell = 0.0;
+    double divs_per_cell = 0.0;
+    double sqrts_per_cell = 0.0;
 
-    /// Modeled ns per cell: roofline max of memory and compute time.
+    [[nodiscard]] double memory_ns(const DeviceSpec& dev) const {
+        return bytes_per_cell / (dev.mem_bw_gbs * dev.eff_bw);
+    }
+    [[nodiscard]] double flop_ns(const DeviceSpec& dev) const {
+        return (flops_per_cell / 1000.0) / (dev.fp64_tflops * dev.eff_flops);
+    }
+    /// Square roots share the divide unit and count at the divide rate.
+    [[nodiscard]] double divider_ns(const DeviceSpec& dev) const {
+        return dev.fp64_div_per_ns > 0.0
+                   ? (divs_per_cell + sqrts_per_cell) / dev.fp64_div_per_ns
+                   : 0.0;
+    }
+
+    /// The ceiling that binds: the largest of the three times.
+    [[nodiscard]] KernelBound bound(const DeviceSpec& dev) const {
+        const double mem = memory_ns(dev);
+        const double flop = flop_ns(dev);
+        const double div = divider_ns(dev);
+        if (div > mem && div > flop) return KernelBound::Divider;
+        return flop > mem ? KernelBound::Flops : KernelBound::Memory;
+    }
+
+    /// Modeled ns per cell: the max of memory, FLOP and divider time.
     [[nodiscard]] double ns_per_cell(const DeviceSpec& dev) const {
-        const double mem_ns = bytes_per_cell / (dev.mem_bw_gbs * dev.eff_bw);
-        const double flop_ns =
-            (flops_per_cell / 1000.0) / (dev.fp64_tflops * dev.eff_flops);
-        return mem_ns > flop_ns ? mem_ns : flop_ns;
+        const double mem = memory_ns(dev);
+        const double flop = flop_ns(dev);
+        const double div = divider_ns(dev);
+        const double roof = mem > flop ? mem : flop;
+        return div > roof ? div : roof;
     }
 };
 
@@ -85,7 +119,8 @@ inline constexpr KernelCost kTransposeTileCost{16.0, 0.0};
 /// kernels run at: the build's register width (2 doubles for SSE2, 4 for
 /// AVX2, 8 for AVX-512), capped by the simd width. Sustained per-core
 /// bandwidth and FP64 throughput are deliberately round numbers; the
-/// model column is a magnitude anchor, not a calibration.
+/// model column is a magnitude anchor, not a calibration. The divide
+/// throughput is measured: see reference_core() in ubench.cpp.
 [[nodiscard]] const DeviceSpec& reference_core();
 
 } // namespace mfc::perf

@@ -18,6 +18,15 @@
 
 namespace mfc::perf {
 
+const char* to_string(KernelBound b) {
+    switch (b) {
+    case KernelBound::Memory: return "memory";
+    case KernelBound::Flops: return "flops";
+    case KernelBound::Divider: return "divider";
+    }
+    return "?";
+}
+
 const DeviceSpec& reference_core() {
     // One spec per FP64 lane count (1, 2, 4, 8), so the returned
     // reference stays valid across set_width.
@@ -35,6 +44,12 @@ const DeviceSpec& reference_core() {
             d.fp64_tflops = 0.006 * lanes; // ~3 GHz x 2 FP64 pipes x lanes
             d.eff_bw = 1.0;
             d.eff_flops = 0.5;
+            // Measured on the maintenance host (4-core AVX-512 Xeon at
+            // 2.0 GHz, gcc 12.2): eight independent divide chains ran
+            // 0.50-0.56 scalar divides/ns and 1.08-1.13 vector lanes/ns at
+            // W = 2, 4 and 8 alike (the divider does not widen with the
+            // register); square roots ran 0.37 and 0.73-0.76.
+            d.fp64_div_per_ns = lanes == 1 ? 0.5 : 1.1;
         }
         return c;
     }();
@@ -113,6 +128,7 @@ UbenchResult make_result(const std::string& name, const UbenchOptions& o,
     r.ns_per_cell = min_ns / o.cells;
     r.gbs = r.ns_per_cell > 0.0 ? cost.bytes_per_cell / r.ns_per_cell : 0.0;
     r.model_ns_per_cell = cost.ns_per_cell(reference_core());
+    r.bound = cost.bound(reference_core());
     r.cost = cost;
     r.checksum = checksum;
     return r;
@@ -157,12 +173,13 @@ UbenchResult bench_prim_convert(const UbenchOptions& o) {
             simd::for_blocks<W>(cells, block);
         });
     });
-    const KernelCost cost{2.0 * neq * 8.0, 45.0};
+    // Divides: the velocities (one per dimension) and the pressure.
+    const KernelCost cost{2.0 * neq * 8.0, 45.0, 4.0, 0.0};
     return make_result("prim_convert", o, cost, min_ns, digest(out));
 }
 
 UbenchResult bench_weno(const std::string& name, int order,
-                        WenoVariant variant, double flops,
+                        WenoVariant variant, double flops, double divs,
                         const UbenchOptions& o) {
     const int cells = o.cells;
     const int r = (order - 1) / 2;
@@ -184,12 +201,12 @@ UbenchResult bench_weno(const std::string& name, int order,
             });
         });
     });
-    const KernelCost cost{24.0, flops};
+    const KernelCost cost{24.0, flops, divs, 0.0};
     return make_result(name, o, cost, min_ns, digest(left) + digest(right));
 }
 
 UbenchResult bench_riemann(const std::string& name, RiemannSolverKind kind,
-                           double flops, const UbenchOptions& o) {
+                           double flops, double divs, const UbenchOptions& o) {
     const EquationLayout& lay = bench_layout();
     const int neq = lay.num_eqns();
     const int cells = o.cells;
@@ -221,7 +238,8 @@ UbenchResult bench_riemann(const std::string& name, RiemannSolverKind kind,
             simd::for_blocks<W>(cells, block);
         });
     });
-    const KernelCost cost{(3.0 * neq + 1.0) * 8.0, flops};
+    // Two mixture sound speeds, each with three divides and a root.
+    const KernelCost cost{(3.0 * neq + 1.0) * 8.0, flops, divs, 2.0};
     return make_result(name, o, cost, min_ns, digest(flux) + digest(uface));
 }
 
@@ -259,7 +277,8 @@ UbenchResult bench_igr_flux(const UbenchOptions& o) {
             simd::for_blocks<W>(cells, block);
         });
     });
-    const KernelCost cost{(4.0 * neq + 1.0) * 8.0, 160.0};
+    // Two mixture sound speeds, each with three divides and a root.
+    const KernelCost cost{(4.0 * neq + 1.0) * 8.0, 160.0, 6.0, 2.0};
     return make_result("igr_flux", o, cost, min_ns, digest(flux));
 }
 
@@ -303,7 +322,7 @@ UbenchResult bench_igr_jacobi(const UbenchOptions& o) {
             if (cells > 1) scalar_cell(cells - 1);
         });
     });
-    const KernelCost cost{24.0, 6.0};
+    const KernelCost cost{24.0, 6.0, 1.0, 0.0};
     return make_result("igr_jacobi", o, cost, min_ns, digest(out));
 }
 
@@ -426,16 +445,27 @@ UbenchResult run_ubench(const std::string& name, const UbenchOptions& o) {
     MFC_REQUIRE(o.cells >= 16, "ubench: --cells must be at least 16");
     MFC_REQUIRE(o.reps >= 1, "ubench: --reps must be positive");
     if (name == "prim_convert") return bench_prim_convert(o);
+    // Divides per cell, from vec_weno.hpp: the five distinct JS weights
+    // (the middle one is shared by both edges) and two normalizations;
+    // the six candidate polynomials divide by 6 in simd::div_exact. M adds
+    // per edge three weight normalizations, three maps and the final
+    // normalization; Z has three distinct tau/(beta+eps) and two
+    // normalizations; WENO3-JS four weights and two normalizations.
     if (name == "weno5_js")
-        return bench_weno(name, 5, WenoVariant::JS, 90.0, o);
-    if (name == "weno5_m") return bench_weno(name, 5, WenoVariant::M, 120.0, o);
-    if (name == "weno5_z") return bench_weno(name, 5, WenoVariant::Z, 100.0, o);
+        return bench_weno(name, 5, WenoVariant::JS, 90.0, 7.0, o);
+    if (name == "weno5_m")
+        return bench_weno(name, 5, WenoVariant::M, 120.0, 19.0, o);
+    if (name == "weno5_z")
+        return bench_weno(name, 5, WenoVariant::Z, 100.0, 5.0, o);
     if (name == "weno3_js")
-        return bench_weno(name, 3, WenoVariant::JS, 45.0, o);
+        return bench_weno(name, 3, WenoVariant::JS, 45.0, 6.0, o);
+    // Divides per face, from vec_riemann.hpp: six in the two sound speeds
+    // and one for the contact speed; HLLC adds three in the star state,
+    // HLL one reciprocal of the wave-speed gap.
     if (name == "riemann_hllc")
-        return bench_riemann(name, RiemannSolverKind::HLLC, 250.0, o);
+        return bench_riemann(name, RiemannSolverKind::HLLC, 250.0, 10.0, o);
     if (name == "riemann_hll")
-        return bench_riemann(name, RiemannSolverKind::HLL, 160.0, o);
+        return bench_riemann(name, RiemannSolverKind::HLL, 160.0, 8.0, o);
     if (name == "igr_flux") return bench_igr_flux(o);
     if (name == "igr_jacobi") return bench_igr_jacobi(o);
     if (name == "rk_axpy") return bench_rk_axpy(o);

@@ -26,6 +26,7 @@ struct UbenchResult {
     double ns_per_cell = 0.0;       ///< min over reps
     double gbs = 0.0;               ///< cost.bytes_per_cell / ns_per_cell
     double model_ns_per_cell = 0.0; ///< cost.ns_per_cell(reference_core())
+    KernelBound bound = KernelBound::Memory; ///< cost.bound(reference_core())
     KernelCost cost;
     double checksum = 0.0; ///< deterministic output digest (and DCE sink)
 };

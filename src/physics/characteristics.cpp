@@ -29,7 +29,7 @@ EulerEigenvectors euler_eigenvectors(const EquationLayout& lay,
     const double h_total = (gas.energy(p) + 0.5 * rho * q2 + p) / rho;
     // The pressure derivative coefficients keep the ideal-gas form for
     // stiffened gases: dp = (gamma-1)(dE - q^2/2 drho + ...).
-    const double b1 = (gas.gamma - 1.0) / (c * c);
+    const double b1 = (gas.gamma() - 1.0) / (c * c);
     const double b2 = 0.5 * q2 * b1;
 
     EulerEigenvectors e;

@@ -46,11 +46,17 @@ bool is_detectable(FaultKind k) {
 }
 
 std::string FaultSpec::describe() const {
+    // Appended piece by piece: GCC 12 reports a false -Wrestrict inside
+    // the inlined `"r" + std::to_string(rank)`.
     std::string out = to_string(kind) + "@";
-    out += rank < 0 ? "r*" : "r" + std::to_string(rank);
-    out += step < 0 ? "/s*" : "/s" + std::to_string(step);
-    if (probability < 1.0)
-        out += "/p" + std::to_string(probability);
+    out += rank < 0 ? "r*" : "r";
+    if (rank >= 0) out += std::to_string(rank);
+    out += step < 0 ? "/s*" : "/s";
+    if (step >= 0) out += std::to_string(step);
+    if (probability < 1.0) {
+        out += "/p";
+        out += std::to_string(probability);
+    }
     return out;
 }
 

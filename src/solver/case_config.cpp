@@ -64,8 +64,8 @@ void CaseConfig::validate() const {
     MFC_REQUIRE(static_cast<int>(fluids.size()) == num_fluids,
                 "fluids list size must equal num_fluids");
     for (const StiffenedGas& f : fluids) {
-        MFC_REQUIRE(f.gamma > 1.0, "fluid gamma must exceed 1");
-        MFC_REQUIRE(f.pi_inf >= 0.0, "fluid pi_inf must be non-negative");
+        MFC_REQUIRE(f.gamma() > 1.0, "fluid gamma must exceed 1");
+        MFC_REQUIRE(f.pi_inf() >= 0.0, "fluid pi_inf must be non-negative");
     }
     MFC_REQUIRE(grid.cells.nx >= 1 && grid.cells.ny >= 1 && grid.cells.nz >= 1,
                 "grid extents must be positive");
@@ -216,10 +216,9 @@ CaseConfig config_from_dict(const CaseDict& dict) {
         // Unspecified fluids default to an ideal diatomic gas; stiffened
         // liquids must be requested explicitly.
         const std::string base = "fluid" + std::to_string(f) + "_";
-        StiffenedGas g;
-        g.gamma = r.take_double(base + "gamma", 1.4);
-        g.pi_inf = r.take_double(base + "pi_inf", 0.0);
-        c.fluids.push_back(g);
+        const double gamma = r.take_double(base + "gamma", 1.4);
+        const double pi_inf = r.take_double(base + "pi_inf", 0.0);
+        c.fluids.emplace_back(gamma, pi_inf);
     }
 
     c.grid.cells.nx = static_cast<int>(r.take_int("nx", 64));
@@ -339,8 +338,8 @@ CaseDict dict_from_config(const CaseConfig& c) {
     d["num_fluids"] = static_cast<long long>(c.num_fluids);
     for (int f = 1; f <= c.num_fluids; ++f) {
         const std::string base = "fluid" + std::to_string(f) + "_";
-        d[base + "gamma"] = c.fluids[static_cast<std::size_t>(f - 1)].gamma;
-        d[base + "pi_inf"] = c.fluids[static_cast<std::size_t>(f - 1)].pi_inf;
+        d[base + "gamma"] = c.fluids[static_cast<std::size_t>(f - 1)].gamma();
+        d[base + "pi_inf"] = c.fluids[static_cast<std::size_t>(f - 1)].pi_inf();
     }
     d["nx"] = static_cast<long long>(c.grid.cells.nx);
     d["ny"] = static_cast<long long>(c.grid.cells.ny);

@@ -779,7 +779,7 @@ void RhsEvaluator::sweep_weno_char(int dim, const SweepSpan& span,
         double row[8];
         const auto unphysical = [&](const V1* prim) {
             return prim[lay_.cont(0)].v <= 0.0 ||
-                   prim[lay_.energy()].v + fluids_[0].pi_inf <= 0.0;
+                   prim[lay_.energy()].v + fluids_[0].pi_inf() <= 0.0;
         };
         // Lane l's face separates the cells at run.cell[q] + l - st
         // (below) and run.cell[q] + l (above).
@@ -946,11 +946,9 @@ void RhsEvaluator::sweep_igr_w(int dim, const SweepSpan& span, StateArray& dq,
             for (int q = 0; q < neq; ++q) {
                 const double* base = run.cell[q] + f;
                 if (igr_.order >= 5) {
-                    pface[q] = (-BV::load(base - 2 * st) +
-                                BV(7.0) * BV::load(base - st) +
-                                BV(7.0) * BV::load(base) -
-                                BV::load(base + st)) /
-                               BV(12.0);
+                    pface[q] = simd::div_exact<12>(
+                        -BV::load(base - 2 * st) + BV(7.0) * BV::load(base - st) +
+                        BV(7.0) * BV::load(base) - BV::load(base + st));
                 } else {
                     pface[q] = BV(0.5) * (BV::load(base - st) + BV::load(base));
                 }

@@ -69,9 +69,7 @@ std::string dump_case_text(const CaseDict& dict) {
 }
 
 void save_case_file(const CaseDict& dict, const std::string& path) {
-    std::ofstream out(path);
-    MFC_REQUIRE(out.good(), "case file: cannot write " + path);
-    out << dump_case_text(dict);
+    write_text_file(path, dump_case_text(dict));
 }
 
 } // namespace mfc::toolchain

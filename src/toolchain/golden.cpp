@@ -189,14 +189,6 @@ GoldenFile add_new_variables(const GoldenFile& existing, const GoldenFile& fresh
     return merged;
 }
 
-void write_text_file(const std::string& path, const std::string& text) {
-    std::ofstream out(path, std::ios::binary);
-    MFC_REQUIRE(out.good(), "cannot write " + path);
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.close(); // flushes: a full disk fails here, not silently later
-    MFC_REQUIRE(!out.fail(), "short write to " + path);
-}
-
 std::string golden_metadata(const std::string& uuid, const std::string& trace,
                             const std::string& canonical_params) {
     std::string out;

@@ -65,8 +65,4 @@ inline constexpr double kDefaultTolerance = 1.0e-12;
                                           const std::string& trace,
                                           const std::string& canonical_params);
 
-/// Write `text` to `path`; throws mfc::Error naming the file when it cannot
-/// be opened (a directory) or the write does not reach it whole (a full device).
-void write_text_file(const std::string& path, const std::string& text);
-
 } // namespace mfc::toolchain

@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "core/error.hpp"
+#include "core/strings.hpp"
 #include "solver/simulation.hpp"
 
 namespace mfc::toolchain {

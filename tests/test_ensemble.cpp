@@ -332,6 +332,28 @@ TEST(EnsembleCache, CorruptedOrMismatchedEntriesAreMisses) {
     fs::remove_all(dir);
 }
 
+// An entry is written under a temporary name and renamed into place only
+// after a checked write, so a store that cannot write publishes nothing
+// (a symlink to /dev/full takes the open and refuses the bytes).
+TEST(EnsembleCache, AFailedStorePublishesNothing) {
+    if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    const std::string dir = unique_dir("mfc_ens_full");
+    fs::create_directories(dir);
+    ResultCache cache(dir);
+    const JobSpec spec = tiny_job(JobKind::Uq, "uq-0003");
+    JobResult r;
+    r.passed = true;
+    r.kind = JobKind::Uq;
+    const std::uint64_t key = job_key(spec);
+    const std::string entry = dir + "/" + hex64(key) + ".yml";
+    fs::create_symlink("/dev/full", entry + ".tmp");
+    cache.store(spec, r, key);
+    EXPECT_EQ(cache.stores(), 0);
+    ASSERT_FALSE(fs::exists(fs::symlink_status(entry))) << "published " << entry;
+    EXPECT_FALSE(cache.lookup(spec, key).has_value());
+    fs::remove_all(dir);
+}
+
 // A regression job that writes its golden must run to write it, so a
 // warm cache never serves it; its mode and trace stay out of the key.
 TEST(EnsembleCache, GoldenWritingJobsAlwaysRun) {

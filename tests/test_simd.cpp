@@ -1,12 +1,17 @@
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "simd/simd.hpp"
 #include "solver/case_config.hpp"
 #include "solver/simulation.hpp"
@@ -100,6 +105,164 @@ TEST(Simd, SelectAndMaskCombinators) {
     EXPECT_TRUE(simd::all(!none));
     EXPECT_TRUE(simd::any(m || none));
     EXPECT_FALSE(simd::any(m && none));
+}
+
+// ---------------------------------------------------------------------------
+// The one-instruction helpers and div_exact: every lane at every width is
+// bit for bit the scalar definition.
+// ---------------------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Apply fn to `in` W lanes at a time (a short tail runs at W = 1) and
+/// count the lanes whose bits differ from want(x).
+template <int W, class Fn, class Want>
+long long lane_mismatches(const std::vector<double>& in, Fn fn, Want want) {
+    long long bad = 0;
+    std::size_t i = 0;
+    for (; i + W <= in.size(); i += W) {
+        const simd::vd<W> r = fn(simd::vd<W>::load(in.data() + i));
+        for (int l = 0; l < W; ++l) bad += !same_bits(r.lane(l), want(in[i + l]));
+    }
+    for (; i < in.size(); ++i) bad += !same_bits(fn(simd::vd<1>(in[i])).v, want(in[i]));
+    return bad;
+}
+
+/// The edge lanes: signed zeros, the subnormal and normal extremes, the
+/// infinities, a NaN, both edges of div_exact's fast range, and
+/// subnormal quotients that are rounding ties (9 * 2^-1074 / 6), which
+/// the FMA sequence without its range guard gets wrong.
+std::vector<double> div_edge_lanes() {
+    const double dmin = std::numeric_limits<double>::denorm_min();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double lo = simd::kDivExactMin;
+    std::vector<double> v = {0.0,     dmin, DBL_MIN, DBL_MAX, inf,
+                             lo,      std::nextafter(lo, 0.0),
+                             std::nextafter(lo, inf),
+                             std::nextafter(DBL_MAX, 0.0),
+                             9 * dmin, 3 * dmin, 15 * dmin, 21 * dmin};
+    const std::size_t n = v.size();
+    for (std::size_t i = 0; i < n; ++i) v.push_back(-v[i]);
+    v.push_back(std::numeric_limits<double>::quiet_NaN());
+    return v;
+}
+
+/// Seeded lanes drawn four ways: random bit patterns, a random value in
+/// a random binade (subnormals included), binade edges +-32 ulps, and
+/// D * q +-4 ulps for D = 6 and 12, whose quotients sit next to a double.
+std::vector<double> div_random_lanes(std::size_t n, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<double> v;
+    v.reserve(n);
+    const auto step = [](double x, long long ulps) {
+        for (; ulps > 0; --ulps) x = std::nextafter(x, HUGE_VAL);
+        for (; ulps < 0; ++ulps) x = std::nextafter(x, -HUGE_VAL);
+        return x;
+    };
+    const auto in_binade = [&] {
+        const int e = static_cast<int>(rng.bounded(2098)) - 1074; // 2^-1074 .. 2^1023
+        const double x = std::ldexp(rng.uniform(1.0, 2.0), e);
+        return rng.bounded(2) ? -x : x;
+    };
+    while (v.size() < n) {
+        switch (rng.bounded(4)) {
+        case 0: v.push_back(std::bit_cast<double>(rng.next_u64())); break;
+        case 1: v.push_back(in_binade()); break;
+        case 2: {
+            const int e = static_cast<int>(rng.bounded(2098)) - 1074;
+            v.push_back(step(std::ldexp(rng.bounded(2) ? -1.0 : 1.0, e),
+                             static_cast<long long>(rng.bounded(65)) - 32));
+            break;
+        }
+        default:
+            v.push_back(step((rng.bounded(2) ? 6.0 : 12.0) * in_binade(),
+                             static_cast<long long>(rng.bounded(9)) - 4));
+        }
+    }
+    return v;
+}
+
+template <int W> void expect_div_exact(const std::vector<double>& in) {
+    EXPECT_EQ(lane_mismatches<W>(in, [](auto x) { return simd::div_exact<6>(x); },
+                                 [](double x) { return x / 6.0; }),
+              0)
+        << "D=6 W=" << W;
+    EXPECT_EQ(lane_mismatches<W>(in, [](auto x) { return simd::div_exact<12>(x); },
+                                 [](double x) { return x / 12.0; }),
+              0)
+        << "D=12 W=" << W;
+}
+
+TEST(Simd, DivExactMatchesTheDivideAtTheEdges) {
+    const std::vector<double> edges = div_edge_lanes();
+    expect_div_exact<1>(edges);
+    expect_div_exact<2>(edges);
+    expect_div_exact<4>(edges);
+    expect_div_exact<8>(edges);
+    // The signed zeros keep their sign at every width.
+    EXPECT_TRUE(std::signbit(simd::div_exact<6>(simd::vd<1>(-0.0)).v));
+    EXPECT_TRUE(std::signbit(simd::div_exact<12>(simd::vd<8>(-0.0)).lane(7)));
+}
+
+TEST(Simd, DivExactMatchesTheDivideOnTenMillionLanes) {
+    // 2.5e6 lanes per width, one draw per width: 1e7 lanes in all.
+    expect_div_exact<1>(div_random_lanes(2500000, 11));
+    expect_div_exact<2>(div_random_lanes(2500000, 12));
+    expect_div_exact<4>(div_random_lanes(2500000, 14));
+    expect_div_exact<8>(div_random_lanes(2500000, 18));
+}
+
+/// Lanes for vabs and vsqrt: signed zeros, subnormals, negatives (a NaN
+/// from sqrt), infinities and NaNs of either sign with a payload.
+std::vector<double> helper_lanes() {
+    std::vector<double> v = {0.0,  -0.0, 2.0,  -1.5,  1.0e-310, -1.0e-310,
+                             4.0,  9.0e12, DBL_MAX, -DBL_MAX,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::quiet_NaN(),
+                             std::bit_cast<double>(0x7ff8000000012345ull),
+                             std::bit_cast<double>(0xfff8000000054321ull)};
+    const std::vector<double> extra = div_random_lanes(512, 5);
+    v.insert(v.end(), extra.begin(), extra.end());
+    return v;
+}
+
+template <int W> void expect_helpers_match_w1() {
+    const std::vector<double> in = helper_lanes();
+    EXPECT_EQ(lane_mismatches<W>(in, [](auto x) { return simd::vabs(x); },
+                                 [](double x) { return simd::vabs(simd::vd<1>(x)).v; }),
+              0)
+        << "vabs W=" << W;
+    EXPECT_EQ(lane_mismatches<W>(in, [](auto x) { return simd::vsqrt(x); },
+                                 [](double x) { return simd::vsqrt(simd::vd<1>(x)).v; }),
+              0)
+        << "vsqrt W=" << W;
+    // any / all over every true/false pattern of the W lanes.
+    for (unsigned bits = 0; bits < (1u << W); ++bits) {
+        double t[W];
+        for (int l = 0; l < W; ++l) t[l] = (bits >> l & 1u) ? 1.0 : -1.0;
+        const simd::vmask<W> m = simd::vd<W>::load(t) > simd::vd<W>(0.0);
+        bool want_any = false, want_all = true;
+        for (int l = 0; l < W; ++l) {
+            const simd::vmask<1> m1 = simd::vd<1>(t[l]) > simd::vd<1>(0.0);
+            want_any = want_any || simd::any(m1);
+            want_all = want_all && simd::all(m1);
+        }
+        EXPECT_EQ(simd::any(m), want_any) << "W=" << W << " bits=" << bits;
+        EXPECT_EQ(simd::all(m), want_all) << "W=" << W << " bits=" << bits;
+    }
+}
+
+TEST(Simd, OneInstructionHelpersMatchTheScalarDefinitions) {
+    // vd<1>'s vabs and vsqrt are std::fabs and std::sqrt.
+    EXPECT_TRUE(same_bits(simd::vabs(simd::vd<1>(-0.0)).v, 0.0));
+    EXPECT_TRUE(same_bits(simd::vsqrt(simd::vd<1>(-0.0)).v, -0.0));
+    expect_helpers_match_w1<2>();
+    expect_helpers_match_w1<4>();
+    expect_helpers_match_w1<8>();
 }
 
 TEST(Simd, WidthDispatchAndValidation) {

@@ -36,7 +36,7 @@ TEST(CaseConfig, ValidationCatchesFluidMismatch) {
 
 TEST(CaseConfig, ValidationCatchesBadGamma) {
     CaseConfig c = standardized_benchmark_case(16);
-    c.fluids[0].gamma = 1.0;
+    c.fluids[0] = StiffenedGas(1.0, 0.0);
     EXPECT_THROW(c.validate(), Error);
 }
 

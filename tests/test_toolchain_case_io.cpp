@@ -87,8 +87,8 @@ patch2_alpha_rho1 = 1.0
 patch2_pressure   = 1.0
 )");
     const CaseConfig c = config_from_dict(d);
-    EXPECT_DOUBLE_EQ(c.fluids[0].gamma, 1.4);
-    EXPECT_DOUBLE_EQ(c.fluids[0].pi_inf, 0.0);
+    EXPECT_DOUBLE_EQ(c.fluids[0].gamma(), 1.4);
+    EXPECT_DOUBLE_EQ(c.fluids[0].pi_inf(), 0.0);
     const GoldenFile out = TestSuite::execute_case(d);
     for (const auto& [name, values] : out.entries()) {
         for (const double v : values) {

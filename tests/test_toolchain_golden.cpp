@@ -9,6 +9,8 @@
 #include <limits>
 
 #include "core/rng.hpp"
+#include "core/yaml.hpp"
+#include "toolchain/case_io.hpp"
 #include "toolchain/golden.hpp"
 
 namespace mfc::toolchain {
@@ -210,6 +212,26 @@ template <class Fn> std::string error_of(Fn&& fn) {
         return e.what();
     }
     return "";
+}
+
+TEST(Writers, AFailedWriteThrowsNamingThePath) {
+    // Golden, YAML and case files share one checked writer: a path that
+    // cannot be opened (a directory) and a device that takes the open but
+    // not the bytes (/dev/full) both throw an mfc::Error naming the path.
+    Yaml yaml;
+    yaml["key"].set(Value(1.0));
+    CaseDict dict;
+    dict["nx"] = 8;
+    std::vector<std::string> paths = {testing::TempDir()};
+    if (std::filesystem::exists("/dev/full")) paths.push_back("/dev/full");
+    for (const std::string& path : paths) {
+        for (const std::string& msg :
+             {error_of([&] { sample().save(path); }),
+              error_of([&] { yaml.save(path); }),
+              error_of([&] { save_case_file(dict, path); })}) {
+            EXPECT_NE(msg.find(path), std::string::npos) << path << ": '" << msg << "'";
+        }
+    }
 }
 
 TEST(Golden, LoadRejectsFilesThatAreNotGoldens) {

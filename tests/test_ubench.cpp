@@ -79,5 +79,25 @@ TEST(Ubench, ReferenceCoreIsWellFormed) {
     EXPECT_GT(heavy.ns_per_cell(core), light.ns_per_cell(core));
 }
 
+TEST(Ubench, ModelNamesTheCeilingThatBinds) {
+    const DeviceSpec& core = reference_core();
+    ASSERT_GT(core.fp64_div_per_ns, 0.0);
+    const KernelCost streaming{800.0, 1.0};
+    const KernelCost arithmetic{8.0, 10000.0};
+    const KernelCost dividing{8.0, 1.0, 90.0, 10.0};
+    EXPECT_EQ(streaming.bound(core), KernelBound::Memory);
+    EXPECT_EQ(arithmetic.bound(core), KernelBound::Flops);
+    EXPECT_EQ(dividing.bound(core), KernelBound::Divider);
+    // The model is the binding time; square roots count as divides.
+    EXPECT_DOUBLE_EQ(dividing.ns_per_cell(core), 100.0 / core.fp64_div_per_ns);
+    EXPECT_DOUBLE_EQ(streaming.ns_per_cell(core), streaming.memory_ns(core));
+    // A device without a divider rate (the Table 3 catalog) leaves the
+    // divider out.
+    DeviceSpec catalog = core;
+    catalog.fp64_div_per_ns = 0.0;
+    EXPECT_NE(dividing.bound(catalog), KernelBound::Divider);
+    EXPECT_STREQ(to_string(KernelBound::Divider), "divider");
+}
+
 } // namespace
 } // namespace mfc::perf

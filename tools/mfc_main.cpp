@@ -329,8 +329,9 @@ int cmd_ubench(const Args& args) {
             "           [-o <out.yml>] [--check <ref.yml>]\n\n"
             "Time each hot pencil kernel standalone on deterministic\n"
             "synthetic rows (min over --reps): ns/cell, achieved effective\n"
-            "bandwidth, and the roofline estimate on the reference core\n"
-            "(src/perf/kernel_model.hpp). --width pins the simd width\n"
+            "bandwidth, and the model estimate on the reference core\n"
+            "(src/perf/kernel_model.hpp) with the ceiling that binds it:\n"
+            "memory, flops or the divider. --width pins the simd width\n"
             "(default: MFC_SIMD_WIDTH, else 8 on AVX-512 and 4 otherwise);\n"
             "results are bitwise identical at every width and ISA level,\n"
             "only the timing changes.\n"
@@ -351,7 +352,8 @@ int cmd_ubench(const Args& args) {
         perf::run_ubench_all(opts);
     std::printf("ubench: %d cells/row, min of %d reps, isa: %s\n\n",
                 opts.cells, opts.reps, simd::isa_label().c_str());
-    TextTable t({"Kernel", "ns/cell", "GB/s", "Model ns/cell", "x Model"});
+    TextTable t(
+        {"Kernel", "ns/cell", "GB/s", "Model ns/cell", "x Model", "Bound"});
     for (std::size_t col = 1; col < 5; ++col)
         t.set_align(col, TextTable::Align::Right);
     for (const perf::UbenchResult& r : results) {
@@ -361,7 +363,8 @@ int cmd_ubench(const Args& args) {
                    format_fixed(r.ns_per_cell > 0.0
                                     ? r.ns_per_cell / r.model_ns_per_cell
                                     : 0.0,
-                                2)});
+                                2),
+                   perf::to_string(r.bound)});
     }
     std::fputs(t.str().c_str(), stdout);
 
@@ -379,6 +382,7 @@ int cmd_ubench(const Args& args) {
             node["ns_per_cell"].set(Value(r.ns_per_cell));
             node["gbs"].set(Value(r.gbs));
             node["model_ns_per_cell"].set(Value(r.model_ns_per_cell));
+            node["bound"].set(Value(std::string(perf::to_string(r.bound))));
         }
         out.save(args.get("o"));
         std::printf("\nwrote %s\n", args.get("o").c_str());

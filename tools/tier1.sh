@@ -6,7 +6,9 @@ set -eu
 
 BUILD_DIR="${1:-build}"
 
-cmake -B "$BUILD_DIR" -S .
+# The main build treats every warning as an error (CMake 3.24+ reads
+# CMAKE_COMPILE_WARNING_AS_ERROR; the project adds no option for it).
+cmake -B "$BUILD_DIR" -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -j)
 
