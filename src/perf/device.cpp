@@ -110,4 +110,19 @@ const DeviceSpec& find_device(const std::string& name) {
     fail("unknown device: " + name);
 }
 
+double kendall_tau(const std::vector<double>& a, const std::vector<double>& b) {
+    MFC_REQUIRE(a.size() == b.size(), "kendall_tau: series differ in length");
+    long long concordant = 0;
+    long long discordant = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        for (std::size_t j = i + 1; j < a.size(); ++j) {
+            const double s = (a[i] - a[j]) * (b[i] - b[j]);
+            if (s > 0) ++concordant;
+            else if (s < 0) ++discordant;
+        }
+    }
+    return static_cast<double>(concordant - discordant) /
+           static_cast<double>(concordant + discordant);
+}
+
 } // namespace mfc::perf

@@ -45,4 +45,12 @@ struct DeviceSpec {
 /// Lookup by exact name; throws mfc::Error when absent.
 [[nodiscard]] const DeviceSpec& find_device(const std::string& name);
 
+/// Kendall rank correlation of two equally long series, as Table 3's
+/// model-against-paper ordering check: (concordant - discordant) /
+/// (concordant + discordant) over all pairs, where a pair tied in either
+/// series counts as neither. 1 is the same order, -1 the reverse, NaN
+/// when every pair is tied.
+[[nodiscard]] double kendall_tau(const std::vector<double>& a,
+                                 const std::vector<double>& b);
+
 } // namespace mfc::perf

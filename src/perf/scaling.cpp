@@ -119,6 +119,7 @@ ScalingSimulator::weak_sweep(const std::vector<int>& rank_counts) const {
                        dims[2] * system_.weak_edge};
         ScalingPoint p;
         p.ranks = ranks;
+        p.dims = dims;
         p.global = global;
         p.cells_per_rank = static_cast<long long>(system_.weak_edge) *
                            system_.weak_edge * system_.weak_edge;
@@ -144,6 +145,7 @@ ScalingSimulator::strong_sweep(const Extents& global,
         const std::array<int, 3> dims = comm::dims_create(ranks, 3);
         ScalingPoint p;
         p.ranks = ranks;
+        p.dims = dims;
         p.global = global;
         p.cells_per_rank = decompose(global, dims, {0, 0, 0}).cells.cells();
         p.step_seconds = step_seconds(global, ranks, &p.comm_fraction);
@@ -159,23 +161,6 @@ ScalingSimulator::strong_sweep(const Extents& global,
         out.push_back(p);
     }
     return out;
-}
-
-std::vector<WeakDecompositionRow>
-weak_decomposition_table(const std::vector<int>& rank_counts, int edge) {
-    std::vector<WeakDecompositionRow> rows;
-    for (const int ranks : rank_counts) {
-        const std::array<int, 3> dims = comm::dims_create(ranks, 3);
-        WeakDecompositionRow r;
-        r.ranks = ranks;
-        r.decomposition = dims;
-        r.discretization =
-            Extents{dims[0] * edge, dims[1] * edge, dims[2] * edge};
-        r.total_cells_billions =
-            static_cast<double>(r.discretization.cells()) / 1.0e9;
-        rows.push_back(r);
-    }
-    return rows;
 }
 
 } // namespace mfc::perf

@@ -12,6 +12,7 @@ namespace mfc::perf {
 /// One point of a scaling sweep.
 struct ScalingPoint {
     int ranks = 1;
+    std::array<int, 3> dims{1, 1, 1}; ///< process box (dims_create)
     Extents global;              ///< global grid at this point
     long long cells_per_rank = 0; ///< worst-case (largest) local block
     double step_seconds = 0.0;   ///< modeled wall time per time step
@@ -54,9 +55,10 @@ public:
     /// Grindtime (ns/unit) of one rank of this system.
     [[nodiscard]] double rank_grindtime_ns() const;
 
-    /// Weak scaling: every rank holds a weak_edge^3 block (Table 4 style,
-    /// perfect cubes so all halo exchanges are equivalent). Efficiency is
-    /// relative to the sweep's first point.
+    /// Weak scaling: every rank holds a weak_edge^3 block (perfect cubes,
+    /// so all halo exchanges are equivalent); on Frontier the points' dims
+    /// and global grids are Table 4. Efficiency is relative to the sweep's
+    /// first point.
     [[nodiscard]] std::vector<ScalingPoint>
     weak_sweep(const std::vector<int>& rank_counts) const;
 
@@ -89,17 +91,5 @@ private:
     bool gpu_aware_;
     bool overlap_ = false;
 };
-
-/// Table 4 helper: the Frontier weak-scaling decomposition rows
-/// (ranks, process box, global discretization, total cells).
-struct WeakDecompositionRow {
-    int ranks;
-    std::array<int, 3> decomposition;
-    Extents discretization;
-    double total_cells_billions;
-};
-
-[[nodiscard]] std::vector<WeakDecompositionRow>
-weak_decomposition_table(const std::vector<int>& rank_counts, int edge);
 
 } // namespace mfc::perf

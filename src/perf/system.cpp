@@ -82,6 +82,13 @@ std::vector<SystemSpec> build_systems() {
 
 } // namespace
 
+std::vector<int> SystemSpec::base_to_limit_ranks() const {
+    std::vector<int> ranks;
+    for (int r = base_ranks; r < limit_ranks; r *= 2) ranks.push_back(r);
+    ranks.push_back(limit_ranks);
+    return ranks;
+}
+
 const std::vector<SystemSpec>& system_catalog() {
     static const std::vector<SystemSpec> catalog = build_systems();
     return catalog;

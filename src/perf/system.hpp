@@ -32,6 +32,10 @@ struct SystemSpec {
     [[nodiscard]] const DeviceSpec& device() const {
         return find_device(device_name);
     }
+
+    /// Fig. 2's rank counts: base_ranks doubling while below limit_ranks,
+    /// then limit_ranks itself.
+    [[nodiscard]] std::vector<int> base_to_limit_ranks() const;
 };
 
 /// Table 5 systems: OLCF Summit, CSCS Alps, OLCF Frontier, LLNL El

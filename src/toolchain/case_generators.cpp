@@ -272,9 +272,11 @@ void alter_bcs(CaseStack& stack, CaseList& cases, int dims) {
     for (int d = 0; d < dims; ++d) {
         const std::string base = std::string("bc_") + names[d] + "_";
         for (const BcPair& p : pairs) {
+            CaseDict extra;
+            extra.emplace(base + "beg", p.beg);
+            extra.emplace(base + "end", p.end);
             cases.push_back(define_case_d(
-                stack, std::string("bc_") + names[d] + "=" + p.label,
-                {{base + "beg", Value(p.beg)}, {base + "end", Value(p.end)}}));
+                stack, std::string("bc_") + names[d] + "=" + p.label, extra));
         }
     }
 }

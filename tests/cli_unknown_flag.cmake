@@ -48,3 +48,22 @@ endif()
 if(NOT err MATCHES "--max")
   message(FATAL_ERROR "mfc test failed without naming --max: ${err}")
 endif()
+
+# A stray positional fails naming it instead of being ignored: a system
+# name without --system, a second case file, a case file beside
+# --standard.
+function(expect_rejected name)
+  execute_process(COMMAND ${MFC} ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  list(JOIN ARGN " " cmd)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "mfc ${cmd} accepted ${name}: ${out}")
+  endif()
+  string(FIND "${err}" "${name}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "mfc ${cmd} failed without naming ${name}: ${err}")
+  endif()
+endfunction()
+expect_rejected("CSCS Alps" scale "CSCS Alps")
+expect_rejected(/nonexistent.case run ${CASE} /nonexistent.case --hash)
+expect_rejected(${CASE} profile --standard 8 ${CASE})

@@ -75,20 +75,23 @@ TEST(KernelModel, OrderingAgreesWithPaper) {
     // Kendall rank correlation between modeled and measured grindtimes
     // across the whole table: the "who wins" structure must hold.
     const KernelModel model;
-    const auto& cat = device_catalog();
-    long long concordant = 0, discordant = 0;
-    for (std::size_t i = 0; i < cat.size(); ++i) {
-        for (std::size_t j = i + 1; j < cat.size(); ++j) {
-            const double dm = model.grindtime_ns(cat[i]) - model.grindtime_ns(cat[j]);
-            const double dp = cat[i].paper_grindtime_ns - cat[j].paper_grindtime_ns;
-            const double s = dm * dp;
-            if (s > 0) ++concordant;
-            else if (s < 0) ++discordant;
-        }
+    std::vector<double> modeled;
+    std::vector<double> paper;
+    for (const auto& d : device_catalog()) {
+        modeled.push_back(model.grindtime_ns(d));
+        paper.push_back(d.paper_grindtime_ns);
     }
-    const double tau = static_cast<double>(concordant - discordant) /
-                       static_cast<double>(concordant + discordant);
-    EXPECT_GT(tau, 0.85);
+    EXPECT_GT(kendall_tau(modeled, paper), 0.85);
+}
+
+TEST(KendallTau, CountsConcordantAndDiscordantPairs) {
+    const std::vector<double> a = {1.0, 2.0, 3.0, 4.0};
+    EXPECT_DOUBLE_EQ(kendall_tau(a, {10.0, 20.0, 30.0, 40.0}), 1.0);
+    EXPECT_DOUBLE_EQ(kendall_tau(a, {40.0, 30.0, 20.0, 10.0}), -1.0);
+    // Pairs (0,1) (0,2) (0,3) (2,3) concordant, (1,2) discordant, and
+    // (1,3) tied in the second series counts as neither: 3/5.
+    EXPECT_DOUBLE_EQ(kendall_tau(a, {1.0, 3.0, 2.0, 3.0}), 0.6);
+    EXPECT_THROW((void)kendall_tau(a, {1.0, 2.0}), Error);
 }
 
 TEST(KernelModel, GpusBeatTheirHostCpus) {
@@ -175,6 +178,16 @@ TEST(SystemCatalog, Table5BaseAndLimitCases) {
     EXPECT_EQ(alps.limit_ranks, 9200);
 }
 
+TEST(SystemCatalog, BaseToLimitRanksDoubleUpToTheLimitCase) {
+    EXPECT_EQ(find_system("OLCF Frontier").base_to_limit_ranks(),
+              (std::vector<int>{128, 256, 512, 1024, 2048, 4096, 8192, 16384,
+                                32768, 65536}));
+    // Summit's limit case is not a doubling of its base case.
+    EXPECT_EQ(find_system("OLCF Summit").base_to_limit_ranks(),
+              (std::vector<int>{216, 432, 864, 1728, 3456, 6912, 13824,
+                                13825}));
+}
+
 TEST(SystemCatalog, FrontierRanksAreGcds) {
     // One rank drives half an MI250X.
     const SystemSpec& f = find_system("OLCF Frontier");
@@ -188,8 +201,8 @@ TEST(SystemCatalog, FrontierRanksAreGcds) {
 // --- Table 4: weak-scaling decompositions ----------------------------------
 
 TEST(WeakDecomposition, ReproducesTable4Exactly) {
-    const std::vector<int> ranks = {128, 384, 1024, 3072, 8192, 24576, 65536};
-    const auto rows = weak_decomposition_table(ranks, 200);
+    const ScalingSimulator sim(find_system("OLCF Frontier"), NumericsModel{});
+    const auto rows = sim.weak_sweep({128, 384, 1024, 3072, 8192, 24576, 65536});
     ASSERT_EQ(rows.size(), 7u);
 
     const std::array<std::array<int, 3>, 7> decomp = {{{4, 4, 8},
@@ -202,16 +215,16 @@ TEST(WeakDecomposition, ReproducesTable4Exactly) {
     const std::array<double, 7> cells_b = {1.02, 3.07, 8.19, 24.6,
                                            65.5, 197.0, 524.0};
     for (std::size_t r = 0; r < rows.size(); ++r) {
-        EXPECT_EQ(rows[r].decomposition, decomp[r]) << "ranks " << rows[r].ranks;
-        EXPECT_NEAR(rows[r].total_cells_billions, cells_b[r],
-                    0.01 * cells_b[r]);
+        EXPECT_EQ(rows[r].dims, decomp[r]) << "ranks " << rows[r].ranks;
+        EXPECT_NEAR(static_cast<double>(rows[r].global.cells()) / 1.0e9,
+                    cells_b[r], 0.01 * cells_b[r]);
         // 200^3 per rank exactly.
-        EXPECT_EQ(rows[r].discretization.cells(),
+        EXPECT_EQ(rows[r].global.cells(),
                   static_cast<long long>(rows[r].ranks) * 200 * 200 * 200);
     }
     // Spot-check the discretizations in the paper's table.
-    EXPECT_EQ(rows[0].discretization, (Extents{800, 800, 1600}));
-    EXPECT_EQ(rows[6].discretization, (Extents{6400, 6400, 12800}));
+    EXPECT_EQ(rows[0].global, (Extents{800, 800, 1600}));
+    EXPECT_EQ(rows[6].global, (Extents{6400, 6400, 12800}));
 }
 
 // --- weak scaling (Fig. 2 / Table 5) ---------------------------------------
@@ -221,10 +234,7 @@ class WeakScaling : public testing::TestWithParam<std::string> {};
 TEST_P(WeakScaling, EfficiencyMatchesTable5Band) {
     const SystemSpec& sys = find_system(GetParam());
     const ScalingSimulator sim(sys, NumericsModel{});
-    std::vector<int> sweep;
-    for (int r = sys.base_ranks; r < sys.limit_ranks; r *= 2) sweep.push_back(r);
-    sweep.push_back(sys.limit_ranks);
-    const auto points = sim.weak_sweep(sweep);
+    const auto points = sim.weak_sweep(sys.base_to_limit_ranks());
 
     // Paper: "weak scaling efficiencies above 95% for all systems".
     const double limit_eff = points.back().efficiency;

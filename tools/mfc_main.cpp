@@ -1,6 +1,7 @@
 // `mfc` — command-line interface mirroring the paper's wrapper script
-// `mfc.sh` (Table 1). Subcommands, in the order a user brings up a new
-// system (Section 3):
+// `mfc.sh` (Table 1). Subcommands: the Table 1 tools in the order a user
+// brings up a new system (Section 3), then the tools this reproduction
+// adds:
 //
 //   mfc tools                                  list the tools (Table 1)
 //   mfc load -c <system> -m <cpu|gpu>          modules + environment plan
@@ -9,10 +10,18 @@
 //            [-o <UUID>] [--golden-dir <dir>] [--max <n>]
 //   mfc bench --mem <gb/rank> -n <ranks> [-o <out.yml>]
 //   mfc bench_diff <ref.yml> <new.yml>
-//   mfc ensemble [--regression N] [--bench-reps N] [--chaos N] [--uq N]
 //   mfc run <case-file> [--out <golden.txt>] [--ranks <r>] [--overlap]
 //   mfc profile <case-file> | --standard <edge> [-n <ranks>] [--trace <f>]
+//   mfc ubench [--cells <n>] [--reps <n>] [--width <w>] [--check <ref>]
+//   mfc chaos <case-file> | --standard [-n <ranks>] [--trials <n>]
+//   mfc ensemble [--regression N] [--bench-reps N] [--chaos N] [--uq N]
 //   mfc batch --scheduler <slurm|pbs|lsf|flux|interactive> [options]
+//   mfc devices                                Table 3, model vs paper
+//   mfc scale [--system <name>] [--strong] [--ranks <r1,...>]
+//                                              Table 4, Fig. 2/3, Table 5
+//   mfc pre_process <case-file> --out <ic.bin>
+//   mfc simulation <case-file> --in <ic.bin> --out <final.bin>
+//   mfc post_process <case-file> --in <final.bin> --out <flow.vtk>
 //
 // Every subcommand accepts --help.
 
@@ -51,11 +60,13 @@ using namespace mfc::toolchain;
 
 /// Flag parser for one verb: `--name value` for the verb's value flags,
 /// `--name` for its switches (and --help), positionals otherwise. Any
-/// other flag, and a flag given twice, is an error that names it.
+/// other flag, a flag given twice, and a positional beyond the verb's
+/// `max_positionals` are errors that name the argument.
 class Args {
 public:
     Args(int argc, char** argv, const std::vector<std::string>& values,
-         const std::vector<std::string>& switches) {
+         const std::vector<std::string>& switches,
+         std::size_t max_positionals) {
         const auto listed = [](const std::vector<std::string>& names,
                                const std::string& name) {
             return std::find(names.begin(), names.end(), name) != names.end();
@@ -74,6 +85,8 @@ public:
                     fail("unknown flag " + a);
                 }
             } else {
+                MFC_REQUIRE(positional_.size() < max_positionals,
+                            "unexpected argument " + a);
                 positional_.push_back(a);
             }
         }
@@ -95,6 +108,15 @@ private:
     std::map<std::string, std::string> flags_;
     std::vector<std::string> positional_;
 };
+
+/// `profile` and `chaos` run a case file or the standardized case, not
+/// both.
+void require_one_case(const Args& args) {
+    if (args.has("standard") && !args.positional().empty()) {
+        fail("case file " + args.positional()[0] +
+             " given together with --standard");
+    }
+}
 
 int cmd_tools() {
     std::printf("%-12s %s\n", "Tool", "Description");
@@ -591,6 +613,7 @@ int cmd_profile(const Args& args) {
             "  --yaml <f.yml>     write the decomposition as YAML\n");
         return args.has("help") ? 0 : 2;
     }
+    require_one_case(args);
 
     CaseConfig config =
         args.has("standard")
@@ -713,6 +736,7 @@ int cmd_chaos(const Args& args) {
             "fault was detected.\n");
         return args.has("help") ? 0 : 2;
     }
+    require_one_case(args);
 
     CaseConfig config =
         args.has("standard")
@@ -986,77 +1010,170 @@ int cmd_post_process(const Args& args) {
 
 int cmd_devices(const Args& args) {
     if (args.has("help")) {
-        std::printf("mfc devices — Table 3 hardware catalog with modeled and "
-                    "paper-reference grindtimes\n");
+        std::printf(
+            "mfc devices\n\n"
+            "Table 3: the standardized case's grindtime on the 49 catalogued\n"
+            "devices, the paper's measurement next to the roofline model's\n"
+            "prediction and their ratio, then the Kendall tau of the two\n"
+            "orderings and the ratio range. Pure model arithmetic; measure\n"
+            "this host's row with `mfc profile --standard 32 --steps 4`.\n");
         return 0;
     }
+    std::printf("Table 3: standardized case grindtime (two-phase 3D, 8 PDEs, "
+                "WENO5 + HLLC + RK3, FP64)\n\n");
     const perf::KernelModel model;
-    TextTable t({"Hardware", "Type", "Usage", "Paper [ns]", "Model [ns]"});
-    t.set_align(3, TextTable::Align::Right);
-    t.set_align(4, TextTable::Align::Right);
+    TextTable t({"Hardware", "Type", "Usage", "Compiler", "Paper [ns]",
+                 "Model [ns]", "Ratio"});
+    for (std::size_t col : {4u, 5u, 6u}) t.set_align(col, TextTable::Align::Right);
+    std::vector<double> modeled;
+    std::vector<double> paper;
+    double min_ratio = 1e9;
+    double max_ratio = 0.0;
     for (const perf::DeviceSpec& d : perf::device_catalog()) {
-        t.add_row({d.name, perf::to_string(d.type), d.usage,
-                   format_sig2(d.paper_grindtime_ns),
-                   format_sig2(model.grindtime_ns(d))});
+        const double g = model.grindtime_ns(d);
+        const double ratio = g / d.paper_grindtime_ns;
+        modeled.push_back(g);
+        paper.push_back(d.paper_grindtime_ns);
+        min_ratio = std::min(min_ratio, ratio);
+        max_ratio = std::max(max_ratio, ratio);
+        t.add_row({d.name, perf::to_string(d.type), d.usage, d.compiler,
+                   format_sig2(d.paper_grindtime_ns), format_sig2(g),
+                   format_fixed(ratio, 2)});
     }
     std::fputs(t.str().c_str(), stdout);
+    std::printf("\nDevices: %zu   Kendall tau(model, paper) = %.3f   "
+                "ratio range = [%.2f, %.2f]\n",
+                modeled.size(), perf::kendall_tau(modeled, paper), min_ratio,
+                max_ratio);
     return 0;
+}
+
+std::string by3(int a, int b, int c) {
+    return std::to_string(a) + " x " + std::to_string(b) + " x " +
+           std::to_string(c);
+}
+
+/// Fig. 2's columns, with Table 4's process box and global grid.
+TextTable weak_table(const std::vector<perf::ScalingPoint>& points) {
+    TextTable t({"Ranks", "Decomposition", "Discretization", "Cells [B]",
+                 "Step [ms]", "Grind x ranks [ns]", "Comm %", "Efficiency"});
+    for (std::size_t col : {0u, 3u, 4u, 5u, 6u, 7u})
+        t.set_align(col, TextTable::Align::Right);
+    for (const perf::ScalingPoint& p : points) {
+        t.add_row({std::to_string(p.ranks),
+                   by3(p.dims[0], p.dims[1], p.dims[2]),
+                   by3(p.global.nx, p.global.ny, p.global.nz),
+                   format_fixed(static_cast<double>(p.global.cells()) / 1e9, 2),
+                   format_fixed(p.step_seconds * 1e3, 2),
+                   format_fixed(p.grindtime_ns * p.ranks, 2),
+                   format_fixed(100.0 * p.comm_fraction, 1),
+                   format_fixed(100.0 * p.efficiency, 1) + "%"});
+    }
+    return t;
+}
+
+/// Fig. 3's columns: speedup and ideal against the first rank count.
+TextTable strong_table(const std::vector<perf::ScalingPoint>& points) {
+    TextTable t({"Ranks", "Cells/rank [M]", "Step [ms]", "Speedup", "Ideal",
+                 "Efficiency"});
+    for (std::size_t col = 0; col < 6; ++col)
+        t.set_align(col, TextTable::Align::Right);
+    const int base = points.front().ranks;
+    for (const perf::ScalingPoint& p : points) {
+        t.add_row({std::to_string(p.ranks),
+                   format_fixed(static_cast<double>(p.cells_per_rank) / 1e6, 2),
+                   format_fixed(p.step_seconds * 1e3, 2),
+                   format_fixed(p.speedup, 1),
+                   format_fixed(static_cast<double>(p.ranks) / base, 0),
+                   format_fixed(100.0 * p.efficiency, 1) + "%"});
+    }
+    return t;
 }
 
 int cmd_scale(const Args& args) {
     if (args.has("help")) {
         std::printf(
-            "mfc scale --system <name> [--strong] [--no-rdma] [--igr]\n"
+            "mfc scale [--system <name>] [--strong] [--no-rdma] [--igr]\n"
             "          [--overlap] [--edge <n>] [--ranks <r1,r2,...>]\n\n"
+            "Model weak or strong scaling of the standardized case from the\n"
+            "roofline and interconnect models. Without --system every system\n"
+            "below runs, and a weak run ends with the Table 5 summary. Without\n"
+            "--ranks each system doubles from its base case to its limit case.\n\n"
+            "  --strong   split one --edge^3 grid (default 634) over the ranks\n"
+            "  --no-rdma  host-staged MPI instead of GPU-aware MPI\n"
+            "  --igr      IGR numerics instead of WENO\n"
             "  --overlap  model the task-graph halo/compute overlap\n"
             "             schedule (src/sched) instead of the synchronous\n"
             "             exchange\n\n"
+            "Paper results:\n"
+            "  Fig. 2, Table 5  mfc scale\n"
+            "  Table 4          mfc scale --system \"OLCF Frontier\"\n"
+            "                     --ranks 128,384,1024,3072,8192,24576,65536\n"
+            "  Fig. 3(a)        mfc scale --system \"OLCF Frontier\" --strong\n"
+            "                     --ranks 8,16,32,64,128,256,512,1024,2048,4096\n"
+            "                     (and again with --no-rdma)\n"
+            "  Fig. 3(b)        mfc scale --system \"CSCS Alps\" --strong --igr\n"
+            "                     --edge 1600\n"
+            "                     --ranks 8,16,32,64,128,256,512,1024,2048,4096\n\n"
             "Systems:\n");
         for (const auto& s : perf::system_catalog()) {
             std::printf("  %s\n", s.name.c_str());
         }
         return 0;
     }
-    const perf::SystemSpec& sys =
-        perf::find_system(args.get("system", "OLCF Frontier"));
+    const std::vector<perf::SystemSpec> systems =
+        args.has("system") ? std::vector{perf::find_system(args.get("system"))}
+                           : perf::system_catalog();
+    std::vector<int> requested;
+    if (args.has("ranks")) {
+        for (const std::string& r : split(args.get("ranks"), ',')) {
+            requested.push_back(static_cast<int>(parse_int(r)));
+        }
+    }
+    const bool strong = args.has("strong");
+    const int edge = static_cast<int>(parse_int(args.get("edge", "634")));
     const perf::NumericsModel numerics = args.has("igr")
                                              ? perf::NumericsModel::igr()
                                              : perf::NumericsModel{};
-    perf::ScalingSimulator sim(sys, numerics, !args.has("no-rdma"));
-    sim.set_overlap(args.has("overlap"));
 
-    std::vector<int> ranks;
-    if (args.has("ranks")) {
-        for (const std::string& r : split(args.get("ranks"), ',')) {
-            ranks.push_back(static_cast<int>(parse_int(r)));
+    TextTable table5({"System", "Base case", "Limit case", "Efficiency",
+                      "Paper"});
+    table5.set_align(3, TextTable::Align::Right);
+    table5.set_align(4, TextTable::Align::Right);
+    for (const perf::SystemSpec& sys : systems) {
+        perf::ScalingSimulator sim(sys, numerics, !args.has("no-rdma"));
+        sim.set_overlap(args.has("overlap"));
+        const std::vector<int> ranks =
+            requested.empty() ? sys.base_to_limit_ranks() : requested;
+        const std::string size =
+            strong ? std::to_string(edge) + "^3 cells"
+                   : std::to_string(sys.weak_edge) + "^3 cells/rank";
+        std::printf("%s — %s scaling: %s, %s, %s; %s numerics, %s MPI%s\n",
+                    sys.name.c_str(), strong ? "strong" : "weak",
+                    sys.device_name.c_str(), size.c_str(),
+                    sys.network.name.c_str(), args.has("igr") ? "IGR" : "WENO",
+                    args.has("no-rdma") ? "host-staged" : "GPU-aware",
+                    args.has("overlap") ? ", overlap schedule" : "");
+        if (strong) {
+            const std::vector<perf::ScalingPoint> points =
+                sim.strong_sweep(Extents{edge, edge, edge}, ranks);
+            std::fputs(strong_table(points).str().c_str(), stdout);
+        } else {
+            const std::vector<perf::ScalingPoint> points = sim.weak_sweep(ranks);
+            std::fputs(weak_table(points).str().c_str(), stdout);
+            table5.add_row(
+                {sys.name,
+                 std::to_string(points.front().ranks) + " " + sys.rank_label,
+                 std::to_string(points.back().ranks) + " " + sys.rank_label,
+                 format_fixed(100.0 * points.back().efficiency, 0) + "%",
+                 format_fixed(100.0 * sys.paper_efficiency, 0) + "%"});
         }
-    } else {
-        for (int r = sys.base_ranks; r < sys.limit_ranks; r *= 2) {
-            ranks.push_back(r);
-        }
-        ranks.push_back(sys.limit_ranks);
+        std::printf("\n");
     }
-
-    TextTable t({"Ranks", "Step [ms]", "Grindtime [ns]", "Speedup",
-                 "Efficiency"});
-    for (std::size_t col = 0; col < 5; ++col) t.set_align(col, TextTable::Align::Right);
-    std::vector<perf::ScalingPoint> points;
-    if (args.has("strong")) {
-        const int edge = static_cast<int>(parse_int(args.get("edge", "634")));
-        points = sim.strong_sweep(Extents{edge, edge, edge}, ranks);
-    } else {
-        points = sim.weak_sweep(ranks);
+    if (!strong && !args.has("system")) {
+        std::printf("Table 5: weak-scaling efficiency, base to limit case\n");
+        std::fputs(table5.str().c_str(), stdout);
     }
-    for (const auto& p : points) {
-        t.add_row({std::to_string(p.ranks), format_fixed(p.step_seconds * 1e3, 2),
-                   format_fixed(p.grindtime_ns, 4), format_fixed(p.speedup, 1),
-                   format_fixed(100.0 * p.efficiency, 1) + "%"});
-    }
-    std::printf("%s — %s scaling (%s%s)\n", sys.name.c_str(),
-                args.has("strong") ? "strong" : "weak",
-                args.has("igr") ? "IGR numerics" : "WENO numerics",
-                args.has("overlap") ? ", overlap schedule" : "");
-    std::fputs(t.str().c_str(), stdout);
     return 0;
 }
 
@@ -1075,61 +1192,64 @@ int usage() {
     std::printf("%-12s %s\n", "ensemble",
                 "Serve a mixed simulation campaign from one process");
     std::printf("%-12s %s\n", "batch", "Render a scheduler batch script");
-    std::printf("%-12s %s\n", "devices", "Table 3 hardware catalog");
-    std::printf("%-12s %s\n", "scale", "Model weak/strong scaling on a system");
+    std::printf("%-12s %s\n", "devices", "Table 3 device catalog, model vs paper");
+    std::printf("%-12s %s\n", "scale",
+                "Table 4, Fig. 2/3, Table 5: modeled weak/strong scaling");
     std::printf("%-12s %s\n", "pre_process", "Write an initial-condition snapshot");
     std::printf("%-12s %s\n", "simulation", "Advance a snapshot in time");
     std::printf("%-12s %s\n", "post_process", "Snapshot -> VTK visualization");
     return 2;
 }
 
-/// One verb: its handler and the flags it accepts (--help is implicit).
+/// One verb: its handler, the most positional arguments it takes, and
+/// the flags it accepts (--help is implicit).
 struct Verb {
     const char* name;
     int (*run)(const Args&);
+    std::size_t positionals;
     std::vector<std::string> values;   ///< flags that take a value
     std::vector<std::string> switches; ///< flags that stand alone
 };
 
 const std::vector<Verb>& verbs() {
     static const std::vector<Verb> table = {
-        {"tools", [](const Args&) { return cmd_tools(); }, {}, {}},
-        {"load", cmd_load, {"c", "m"}, {}},
-        {"build", cmd_build, {"c", "m", "gpu"}, {"case-optimization"}},
-        {"test", cmd_test, {"golden-dir", "o", "max"},
+        {"tools", [](const Args&) { return cmd_tools(); }, 0, {}, {}},
+        {"load", cmd_load, 0, {"c", "m"}, {}},
+        {"build", cmd_build, 0, {"c", "m", "gpu"}, {"case-optimization"}},
+        {"test", cmd_test, 0, {"golden-dir", "o", "max"},
          {"list", "generate", "add-new-variables"}},
-        {"bench", cmd_bench,
+        {"bench", cmd_bench, 0,
          {"mem", "n", "o", "warmup", "threads", "chaos", "ensemble",
           "ranks-threads"},
          {"no-profile", "overlap", "timing"}},
-        {"bench_diff", cmd_bench_diff, {}, {}},
-        {"ubench", cmd_ubench, {"cells", "reps", "width", "o", "check"}, {}},
-        {"run", cmd_run, {"out", "threads", "ranks", "metrics"},
+        {"bench_diff", cmd_bench_diff, 2, {}, {}},
+        {"ubench", cmd_ubench, 0, {"cells", "reps", "width", "o", "check"}, {}},
+        {"run", cmd_run, 1, {"out", "threads", "ranks", "metrics"},
          {"overlap", "hash"}},
-        {"profile", cmd_profile,
+        {"profile", cmd_profile, 1,
          {"standard", "n", "steps", "warmup", "threads", "min-pct", "trace",
           "yaml"},
          {}},
         // `--standard` is a switch here; the edge rides on --edge.
-        {"chaos", cmd_chaos,
+        {"chaos", cmd_chaos, 1,
          {"edge", "n", "trials", "seed", "faults", "steps", "interval", "mtbf",
           "max-attempts", "dir", "timeout-ms", "retries", "postmortem", "o"},
          {"standard", "no-reference"}},
-        {"ensemble", cmd_ensemble,
+        {"ensemble", cmd_ensemble, 0,
          {"regression", "bench-reps", "chaos", "uq", "seed", "edge", "steps",
           "mem", "threads", "cache-dir", "max-failures", "golden-dir", "dir",
           "o"},
          {"mc", "fail-fast", "timing"}},
-        {"batch", cmd_batch,
+        {"batch", cmd_batch, 0,
          {"scheduler", "name", "nodes", "tasks-per-node", "gpus-per-node",
           "walltime", "partition", "account", "command"},
          {"rdma", "profile"}},
-        {"devices", cmd_devices, {}, {}},
-        {"scale", cmd_scale, {"system", "edge", "ranks"},
+        {"devices", cmd_devices, 0, {}, {}},
+        {"scale", cmd_scale, 0, {"system", "edge", "ranks"},
          {"strong", "no-rdma", "igr", "overlap"}},
-        {"pre_process", cmd_pre_process, {"out"}, {}},
-        {"simulation", cmd_simulation, {"in", "out"}, {}},
-        {"post_process", cmd_post_process, {"in", "out"}, {}},
+        {"pre_process", cmd_pre_process, 1, {"out"}, {}},
+        {"simulation", cmd_simulation, 1, {"in", "out"}, {}},
+        {"post_process", cmd_post_process, 1, {"in", "out"}, {}},
     };
     return table;
 }
@@ -1142,7 +1262,8 @@ int main(int argc, char** argv) {
     for (const Verb& verb : verbs()) {
         if (tool != verb.name) continue;
         try {
-            return verb.run(Args(argc - 2, argv + 2, verb.values, verb.switches));
+            return verb.run(Args(argc - 2, argv + 2, verb.values, verb.switches,
+                                 verb.positionals));
         } catch (const mfc::Error& e) {
             std::fprintf(stderr, "mfc %s: error: %s\n", tool.c_str(), e.what());
             return 1;

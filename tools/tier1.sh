@@ -174,12 +174,23 @@ fi
 # across x-adjacent pencils with halving tail blocks in y/z) under the
 # same scrutiny. The "io" label adds the golden reader's tests, whose seeded
 # mutation smoke feeds it damaged files.
-# MFCPP_SANITIZE=off skips both sanitizer legs.
+# MFCPP_SANITIZE=off skips every sanitizer leg.
 if [ "${MFCPP_SANITIZE:-undefined}" != "off" ]; then
     UBSAN_DIR="$BUILD_DIR-ubsan"
     cmake -B "$UBSAN_DIR" -S . -DMFCPP_SANITIZE=undefined
     cmake --build "$UBSAN_DIR" -j
     (cd "$UBSAN_DIR" && ctest --output-on-failure -L 'simd|layout|telemetry|io')
+fi
+
+# Address-sanitizer leg: rebuild with MFCPP_SANITIZE=address and run the
+# whole suite, so an out-of-bounds access, a use after free or a leak on
+# any path the tests reach (the readers of case files, goldens, YAML and
+# checkpoints included) fails tier-1.
+if [ "${MFCPP_SANITIZE:-address}" != "off" ]; then
+    ASAN_DIR="$BUILD_DIR-asan"
+    cmake -B "$ASAN_DIR" -S . -DMFCPP_SANITIZE=address
+    cmake --build "$ASAN_DIR" -j
+    (cd "$ASAN_DIR" && ctest --output-on-failure -j)
 fi
 
 echo "tier1: OK"
